@@ -14,7 +14,7 @@ feature learning, and a finite-difference gradient checker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -217,11 +217,6 @@ class Tape:
         return np.zeros_like(t.data)
 
 
-def backward(tape: Tape, loss: Tensor) -> dict[int, Array]:
-    """Functional form of ``Tape.backward``."""
-    return tape.backward(loss)
-
-
 def _active_tape_for(inputs: Sequence[Tensor]) -> Tape | None:
     if _ACTIVE_TAPE is None:
         return None
@@ -399,20 +394,6 @@ def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     if flat:
         result = reshape(result, (T,))
     return result
-
-
-def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0.0)
-
-    def build():
-        mask = x.data > 0.0
-
-        def bwd(g):
-            return (g * mask,)
-
-        return bwd
-
-    return _emit("relu", (x,), out, build)
 
 
 def gelu(x: Tensor) -> Tensor:

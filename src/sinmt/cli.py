@@ -65,7 +65,7 @@ def cmd_train(args) -> int:
     if args.init:
         cfg.train.init_checkpoint = args.init
     cfg.validate()
-    if cfg.train.mode == tr.MODE_SPEAKER_INVARIANT and \
+    if cfg.train.mode == md.MODE_SPEAKER_INVARIANT and \
             not cfg.train.init_checkpoint:
         _log("warning: adversarial mode is starting cold; the reference "
              "recipe warm-starts it from the best cooperative ('spk') "
@@ -84,7 +84,6 @@ def cmd_train(args) -> int:
         for w in caught:
             _log(f"warning: {w.message}")
 
-    result.network.params.load_state(result.best_state)
     md.save_checkpoint(result.network, out / "best.ckpt")
     tr.write_history(result.history, out / "history.txt")
     cf.write_resolved(cfg, out / "config.resolved")
@@ -157,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="experiment config (JSON)")
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--out", required=True, help="run output directory")
-    p.add_argument("--mode", choices=sorted(tr.MODES),
+    p.add_argument("--mode", choices=sorted(md.MODES),
                    help="override the config's training mode")
     p.add_argument("--init", help="warm-start checkpoint path")
     p.set_defaults(func=cmd_train)

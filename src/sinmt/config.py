@@ -1,12 +1,11 @@
-"""Experiment configuration: one JSON document with four sections.
+"""Experiment configuration: one JSON document with three sections.
 
 An experiment file looks like::
 
     {
       "corpus": {"n_speakers": 20, "seed": 0, ...},
       "model":  {"encoder": {...}, "head": {...}},
-      "train":  {"mode": "spk", "learning_rate": 1e-3, ...},
-      "eval":   {"split": "eval", "probe_split": "all", ...}
+      "train":  {"mode": "spk", "learning_rate": 1e-3, ...}
     }
 
 Every section and every field is optional — omitted fields take the
@@ -44,35 +43,10 @@ class ModelConfig:
 
 
 @dataclass
-class EvalConfig:
-    split: str = "eval"
-    probe_split: str = "all"
-    batch_size: int = 32
-    probe_seed: int = 0
-    probe_iterations: int = 500
-    probe_learning_rate: float = 0.1
-
-    def validate(self) -> None:
-        for name in ("split", "probe_split"):
-            value = getattr(self, name)
-            if value not in SPLIT_CHOICES:
-                raise ConfigError(
-                    f"eval.{name} must be one of {list(SPLIT_CHOICES)}, "
-                    f"got {value!r}")
-        if self.batch_size < 1:
-            raise ConfigError("eval.batch_size must be >= 1")
-        if self.probe_iterations < 1:
-            raise ConfigError("eval.probe_iterations must be >= 1")
-        if self.probe_learning_rate <= 0.0:
-            raise ConfigError("eval.probe_learning_rate must be positive")
-
-
-@dataclass
 class ExperimentConfig:
     corpus: sd.CorpusConfig = field(default_factory=sd.CorpusConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: tr.TrainConfig = field(default_factory=tr.TrainConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)
 
     def validate(self) -> None:
         try:
@@ -81,7 +55,6 @@ class ExperimentConfig:
             self.train.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        self.eval.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +65,6 @@ _SECTION_TYPES = {
     "corpus": sd.CorpusConfig,
     "model": ModelConfig,
     "train": tr.TrainConfig,
-    "eval": EvalConfig,
 }
 
 

@@ -317,36 +317,43 @@ def silhouette(embeddings, speaker_ids) -> float:
 # ---------------------------------------------------------------------------
 
 
-def score_split(network, manifest, split: str,
-                batch_size: int = 32) -> ScoreSet:
-    """Full-length forward passes; score = bonafide − spoof logit."""
+def _forward_batches(network, records, waveform_of, batch_size: int):
+    """Full-length forward passes over ``records`` in order, no tape:
+    yields (chunk of records, ForwardOutput) per batch of
+    ``batch_size``. ``waveform_of`` maps a record to its waveform."""
+    for start in range(0, len(records), batch_size):
+        chunk = records[start:start + batch_size]
+        yield chunk, network.forward(np.stack([waveform_of(r)
+                                               for r in chunk]))
+
+
+def _trials(chunk, out) -> list:
+    """One Trial per record; score = bonafide − spoof logit."""
+    logits = out.spoof_logits.data
+    return [Trial(r.utt_id, float(s), r.label, r.attack_id, r.speaker_id)
+            for r, s in zip(chunk, logits[:, 0] - logits[:, 1])]
+
+
+def _split_records(manifest, split: str) -> list:
     records = manifest.split_records(split)
     if not records:
         raise ValueError(f"split {split!r} has no records")
-    trials = []
-    for start in range(0, len(records), batch_size):
-        chunk = records[start:start + batch_size]
-        wavs = np.stack([manifest.load_waveform(r) for r in chunk])
-        out = network.forward(wavs)
-        logits = out.spoof_logits.data
-        score = logits[:, 0] - logits[:, 1]
-        for r, s in zip(chunk, score):
-            trials.append(Trial(r.utt_id, float(s), r.label, r.attack_id,
-                                r.speaker_id))
-    return ScoreSet(trials)
+    return records
+
+
+def score_split(network, manifest, split: str,
+                batch_size: int = 32) -> ScoreSet:
+    """Full-length forward passes; score = bonafide − spoof logit."""
+    batches = _forward_batches(network, _split_records(manifest, split),
+                               manifest.load_waveform, batch_size)
+    return ScoreSet(t for chunk, out in batches for t in _trials(chunk, out))
 
 
 def embed_split(network, manifest, split: str, batch_size: int = 32):
     """Spoof-head embeddings for every utterance of a split."""
-    records = manifest.split_records(split)
-    if not records:
-        raise ValueError(f"split {split!r} has no records")
-    rows = []
-    for start in range(0, len(records), batch_size):
-        chunk = records[start:start + batch_size]
-        wavs = np.stack([manifest.load_waveform(r) for r in chunk])
-        out = network.forward(wavs)
-        rows.append(out.spoof_embedding.data)
+    records = _split_records(manifest, split)
+    rows = [out.spoof_embedding.data for _, out in _forward_batches(
+        network, records, manifest.load_waveform, batch_size)]
     return records, np.concatenate(rows, axis=0)
 
 

@@ -31,6 +31,25 @@ MODE_SPEAKER_AWARE = "spk"
 MODE_SPEAKER_INVARIANT = "ivspk"
 MODES = (MODE_BASELINE, MODE_SPEAKER_AWARE, MODE_SPEAKER_INVARIANT)
 
+# Gradient-reversal scale λ per mode when none is given. "spk" passes
+# speaker gradients through unchanged and allows no other value;
+# "ivspk" reverses them and accepts any positive scale.
+DEFAULT_GRL = {MODE_BASELINE: 0.0, MODE_SPEAKER_AWARE: -1.0,
+               MODE_SPEAKER_INVARIANT: 1.0}
+
+
+def resolve_grl(mode: str, grl_scale: float | None = None) -> float:
+    """The reversal scale for ``mode``: its default when ``grl_scale``
+    is None, otherwise ``grl_scale`` checked against the mode."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode: {mode!r} (expected one of {MODES})")
+    grl = DEFAULT_GRL[mode] if grl_scale is None else float(grl_scale)
+    if mode == MODE_SPEAKER_AWARE and grl != -1.0:
+        raise ValueError(f"mode 'spk' requires grl_scale == -1, got {grl}")
+    if mode == MODE_SPEAKER_INVARIANT and grl <= 0.0:
+        raise ValueError(f"mode 'ivspk' requires grl_scale > 0, got {grl}")
+    return grl
+
 
 @dataclass
 class EncoderConfig:
@@ -97,19 +116,6 @@ class MHFAConfig:
 
 
 @dataclass
-class LayerStack:
-    """Per-layer frame tensors: [conv output, transformer layer 1..L].
-
-    Every entry is (B, T, model_dim) with identical T.
-    """
-
-    layers: list
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-
-@dataclass
 class ForwardOutput:
     spoof_logits: ad.Tensor
     spoof_embedding: ad.Tensor
@@ -129,14 +135,13 @@ def sinusoidal_positions(n_frames: int, dim: int) -> np.ndarray:
 
 
 def mhfa_pool(layers, params: ad.ParameterSet, prefix: str):
-    """Pool a layer stack into (embedding, logits) for one head.
+    """Pool a layer stack (a list of (B, T, D) tensors, as ``encode``
+    returns) into (embedding, logits) for one head.
 
     Parameter names under ``prefix``: layer_mix_k/layer_mix_v (length
     L+1), key_proj (D, d_k), value_proj (D, d_v), head_queries (d_k, H),
     embed_proj (H*d_v, d_e), cls_w (d_e, C), cls_b (C,).
     """
-    if isinstance(layers, LayerStack):
-        layers = layers.layers
     n_layers = len(layers)
     mix_k = params[f"{prefix}.layer_mix_k"]
     mix_v = params[f"{prefix}.layer_mix_v"]
@@ -181,10 +186,8 @@ class SInMTNetwork:
                  encoder: EncoderConfig | None = None,
                  head: MHFAConfig | None = None,
                  grl_scale: float | None = None,
-                 speaker_loss_weight: float = 0.1,
                  seed: int = 0):
-        if mode not in MODES:
-            raise ValueError(f"unknown mode: {mode!r} (expected one of {MODES})")
+        self.grl_scale = resolve_grl(mode, grl_scale)
         self.mode = mode
         self.encoder_config = encoder or EncoderConfig()
         self.encoder_config.validate()
@@ -193,19 +196,6 @@ class SInMTNetwork:
         if n_speakers < 1:
             raise ValueError("n_speakers must be positive")
         self.n_speakers = int(n_speakers)
-        if grl_scale is None:
-            grl_scale = {MODE_BASELINE: 0.0, MODE_SPEAKER_AWARE: -1.0,
-                         MODE_SPEAKER_INVARIANT: 1.0}[mode]
-        self.grl_scale = float(grl_scale)
-        if mode == MODE_SPEAKER_AWARE and self.grl_scale != -1.0:
-            raise ValueError(
-                f"mode 'spk' requires grl_scale == -1, got {self.grl_scale}")
-        if mode == MODE_SPEAKER_INVARIANT and self.grl_scale <= 0.0:
-            raise ValueError(
-                f"mode 'ivspk' requires grl_scale > 0, got {self.grl_scale}")
-        if speaker_loss_weight < 0.0:
-            raise ValueError("speaker_loss_weight must be >= 0")
-        self.speaker_loss_weight = float(speaker_loss_weight)
         self.seed = int(seed)
 
         self.params = ad.ParameterSet()
@@ -277,10 +267,11 @@ class SInMTNetwork:
 
     # -- forward ------------------------------------------------------
 
-    def encode(self, waveforms) -> LayerStack:
+    def encode(self, waveforms) -> list:
         """Run the conv + transformer stack on a (B, N) waveform batch.
 
-        Returns all layer outputs; T equals N successively floor-divided
+        Returns every layer's (B, T, model_dim) output, conv first, then
+        transformer layers 1..L; T equals N successively floor-divided
         by each conv stride (each conv right-pads with zeros just enough
         to emit exactly floor(T_in/stride) frames).
         """
@@ -332,7 +323,7 @@ class SInMTNetwork:
         for li in range(cfg.n_transformer_layers):
             h = self._transformer_layer(h, li)
             layers.append(h)
-        return LayerStack(layers=layers)
+        return layers
 
     def _transformer_layer(self, x: ad.Tensor, li: int) -> ad.Tensor:
         p = self.params
@@ -378,9 +369,9 @@ class SInMTNetwork:
                                  spoof_embedding=spoof_emb)
         if apply_grl:
             branch = [ad.gradient_reversal(l, self.grl_scale)
-                      for l in stack.layers]
+                      for l in stack]
         else:
-            branch = stack.layers
+            branch = stack
         spk_emb, spk_logits = mhfa_pool(branch, self.params, "speaker_head")
         return ForwardOutput(spoof_logits=spoof_logits,
                              spoof_embedding=spoof_emb,
@@ -413,7 +404,6 @@ def save_checkpoint(network: SInMTNetwork, path) -> None:
         "format": CHECKPOINT_VERSION,
         "mode": network.mode,
         "grl_scale": network.grl_scale,
-        "speaker_loss_weight": network.speaker_loss_weight,
         "n_speakers": network.n_speakers,
         "seed": network.seed,
         "encoder": asdict(network.encoder_config),
@@ -467,34 +457,32 @@ def _network_from_manifest(manifest, mode: str, grl_scale: float
         encoder=enc,
         head=MHFAConfig(**manifest["head"]),
         grl_scale=grl_scale,
-        speaker_loss_weight=manifest["speaker_loss_weight"],
         seed=manifest.get("seed", 0))
 
 
 def load_checkpoint(path, mode: str | None = None) -> SInMTNetwork:
     """Rebuild the saved network; optionally flip it to a new mode.
 
-    Cross-mode loads follow the staged recipes: speaker-aware ->
-    speaker-invariant copies every parameter group unchanged and the
-    reversal scale becomes +1; baseline -> either multi-task mode
-    copies the shared groups (extractor and spoof head) and gives the
-    speaker head a fresh seeded init, since a baseline checkpoint
-    carries no speaker head.
+    Cross-mode loads follow the staged recipes and take the target
+    mode's default reversal scale: speaker-aware -> speaker-invariant
+    copies every parameter group unchanged; baseline -> either
+    multi-task mode copies the shared groups (extractor and spoof head)
+    and gives the speaker head a fresh seeded init, since a baseline
+    checkpoint carries no speaker head. Manifest keys the network does
+    not use (such as an older ``speaker_loss_weight``) are ignored.
     """
     manifest, values = read_checkpoint(path)
     stored = manifest["mode"]
     target = mode or stored
     grl_scale = manifest["grl_scale"]
     if target != stored:
-        if stored == MODE_SPEAKER_AWARE and target == MODE_SPEAKER_INVARIANT:
-            grl_scale = 1.0
-        elif stored == MODE_BASELINE and target != MODE_BASELINE:
-            grl_scale = -1.0 if target == MODE_SPEAKER_AWARE else 1.0
-        else:
+        if stored != MODE_BASELINE and (stored, target) != (
+                MODE_SPEAKER_AWARE, MODE_SPEAKER_INVARIANT):
             raise ValueError(
                 f"cannot load a {stored!r} checkpoint as {target!r}; "
                 f"supported flips: 'spk' -> 'ivspk', "
                 f"'baseline' -> 'spk' or 'ivspk'")
+        grl_scale = resolve_grl(target)
     net = _network_from_manifest(manifest, target, grl_scale)
     if stored == MODE_BASELINE and target != MODE_BASELINE:
         merged = net.params.state()
@@ -502,13 +490,3 @@ def load_checkpoint(path, mode: str | None = None) -> SInMTNetwork:
         values = merged
     net.params.load_state(values)
     return net
-
-
-def restore_parameters(network: SInMTNetwork, path) -> None:
-    """Copy checkpoint values into an existing network (warm start).
-
-    Shapes must match exactly; a mismatch (for example a different
-    speaker count in the classifier weight) raises naming the parameter.
-    """
-    _, values = read_checkpoint(path)
-    network.params.load_state(values)

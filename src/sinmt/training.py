@@ -18,7 +18,6 @@ unweighted Ld.
 
 from __future__ import annotations
 
-import copy
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,13 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import evaluation as ev
 from . import synthdata as sd
-from .evaluation import BONAFIDE, SPOOF_CLASS_ORDER, eer_from_arrays
-from .model import (MODE_BASELINE, MODE_SPEAKER_AWARE, MODE_SPEAKER_INVARIANT,
-                    MODES, SInMTNetwork, load_checkpoint)
-
-_DEFAULT_GRL = {MODE_BASELINE: 0.0, MODE_SPEAKER_AWARE: -1.0,
-                MODE_SPEAKER_INVARIANT: 1.0}
+from .model import (MODE_BASELINE, SInMTNetwork, load_checkpoint,
+                    resolve_grl)
 
 _STREAM_SHUFFLE = 10
 _STREAM_ITEM = 11
@@ -61,14 +57,10 @@ class TrainConfig:
     augment: bool = True
 
     def resolved_grl(self) -> float:
-        value = self.grl_scale
-        if value is None:
-            value = _DEFAULT_GRL[self.mode]
-        return float(value)
+        return resolve_grl(self.mode, self.grl_scale)
 
     def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode: {self.mode!r}")
+        self.resolved_grl()  # checks the mode and its reversal scale
         if self.alpha < 0.0:
             raise ValueError("alpha must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
@@ -83,13 +75,6 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if self.clip_len is not None and self.clip_len < 1:
             raise ValueError("clip_len must be positive or None")
-        grl = self.resolved_grl()
-        if self.mode == MODE_SPEAKER_AWARE and grl != -1.0:
-            raise ValueError(
-                f"mode 'spk' requires grl_scale == -1, got {grl}")
-        if self.mode == MODE_SPEAKER_INVARIANT and grl <= 0.0:
-            raise ValueError(
-                f"mode 'ivspk' requires grl_scale > 0, got {grl}")
         if self.spoof_class_weights is not None:
             w = np.asarray(self.spoof_class_weights, dtype=np.float64)
             if w.shape != (2,) or (w < 0).any() or w.sum() == 0.0:
@@ -248,9 +233,8 @@ def train_step(network: SInMTNetwork, batch: Batch, config: TrainConfig,
 
 @dataclass
 class TrainResult:
-    network: SInMTNetwork
+    network: SInMTNetwork  # holds the parameters of the best dev epoch
     history: list
-    best_state: dict
     best_epoch: int
     best_dev_eer: float
     speaker_classes: list = field(default_factory=list)
@@ -291,34 +275,18 @@ def _dev_metrics(network, records, waveforms, class_of, batch_size):
     number is a steadier selection signal than the pooled one, and a
     single collapsed attack cannot hide behind the others.
     """
-    scores = np.empty(len(records))
+    trials = []
     speaker_hits = speaker_total = 0
-    for start in range(0, len(records), batch_size):
-        chunk = records[start:start + batch_size]
-        wavs = np.stack([waveforms[r.utt_id] for r in chunk])
-        out = network.forward(wavs)
-        logits = out.spoof_logits.data
-        scores[start:start + len(chunk)] = logits[:, 0] - logits[:, 1]
+    for chunk, out in ev._forward_batches(
+            network, records, lambda r: waveforms[r.utt_id], batch_size):
+        trials += ev._trials(chunk, out)
         if out.speaker_logits is not None:
             pred = np.argmax(out.speaker_logits.data, axis=1)
             for r, p in zip(chunk, pred):
                 if r.speaker_id in class_of:
                     speaker_hits += int(p == class_of[r.speaker_id])
                     speaker_total += 1
-    labels = np.array([r.label == BONAFIDE for r in records])
-    bona = scores[labels]
-    attack_ids = sorted({r.attack_id for r in records
-                         if r.label != BONAFIDE})
-    if attack_ids and labels.any():
-        eers = []
-        for aid in attack_ids:
-            mask = np.array([r.label != BONAFIDE and r.attack_id == aid
-                             for r in records])
-            e, _ = eer_from_arrays(bona, scores[mask])
-            eers.append(e)
-        eer = float(np.mean(eers))
-    else:
-        eer, _ = eer_from_arrays(bona, scores[~labels])
+    eer = ev.breakdown_report(ev.ScoreSet(trials)).mean_eer
     acc = speaker_hits / speaker_total if speaker_total else 0.0
     return eer, acc
 
@@ -327,7 +295,8 @@ def train(config: TrainConfig, manifest: sd.CorpusManifest,
           encoder=None, head=None) -> TrainResult:
     """Seed-deterministic training with per-epoch shuffling, cropping,
     on-the-fly augmentation, dev-EER model selection, and early
-    stopping. Never touches the eval split.
+    stopping. Never touches the eval split. The returned network holds
+    the parameters of the epoch with the best dev EER.
 
     encoder/head override the network sizing for fresh networks; they
     are ignored when init_checkpoint supplies the architecture."""
@@ -358,14 +327,14 @@ def train(config: TrainConfig, manifest: sd.CorpusManifest,
                                n_speakers=len(speaker_classes),
                                encoder=encoder, head=head,
                                grl_scale=config.resolved_grl(),
-                               speaker_loss_weight=config.alpha,
                                seed=config.seed)
 
     if config.spoof_class_weights is not None:
         spoof_weights = np.asarray(config.spoof_class_weights,
                                    dtype=np.float64)
     else:
-        spoof_labels_all = [int(r.label != BONAFIDE) for r in train_records]
+        spoof_labels_all = [int(r.label != ev.BONAFIDE)
+                            for r in train_records]
         spoof_weights = inverse_frequency_weights(spoof_labels_all, 2)
     speaker_weights = None
     if network.mode != MODE_BASELINE:
@@ -382,7 +351,7 @@ def train(config: TrainConfig, manifest: sd.CorpusManifest,
         opt_state = ad.OptimizerState.sgd(lr=config.learning_rate)
 
     history = []
-    best_state = {k: v.copy() for k, v in network.params.state().items()}
+    best_state = network.params.state()
     best_eer = np.inf
     best_epoch = 0
     stale = 0
@@ -402,7 +371,7 @@ def train(config: TrainConfig, manifest: sd.CorpusManifest,
                 rng = _item_rng(config.seed, epoch, int(i))
                 wavs.append(_prepare_item(waveforms[r.utt_id], r, config,
                                           augmenter, rng))
-                y_spoof.append(int(r.label != BONAFIDE))
+                y_spoof.append(int(r.label != ev.BONAFIDE))
                 y_speaker.append(class_of[r.speaker_id])
             batch = Batch(
                 waveforms=np.stack(wavs),
@@ -428,15 +397,14 @@ def train(config: TrainConfig, manifest: sd.CorpusManifest,
         if dev_eer < best_eer:
             best_eer = dev_eer
             best_epoch = epoch
-            best_state = {k: v.copy()
-                          for k, v in network.params.state().items()}
+            best_state = network.params.state()
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
 
+    network.params.load_state(best_state)
     return TrainResult(network=network, history=history,
-                       best_state=copy.deepcopy(best_state),
                        best_epoch=best_epoch, best_dev_eer=float(best_eer),
                        speaker_classes=speaker_classes)

@@ -309,45 +309,29 @@ IVSPK_RECIPE = dict(COMMON, epochs=30, alpha=0.1,
                     fold_alpha_into_lambda=True)
 
 
-@pytest.fixture(scope="session")
-def default_corpus(tmp_path_factory):
-    out = tmp_path_factory.mktemp("corpus")
-    return sd.generate_corpus(sd.CorpusConfig(), out)
-
-
 def _eval_pooled(network, manifest):
     return ev.breakdown_report(ev.score_split(network, manifest,
                                               "eval")).pooled_eer
 
 
-def _rebuild(result, mode, manifest):
-    net = m.SInMTNetwork(mode, n_speakers=len(result.speaker_classes),
-                         grl_scale=result.network.grl_scale, seed=0)
-    net.params.load_state(result.best_state)
-    return net
-
-
-def test_criterion_6_directional_experiment(default_corpus, tmp_path):
+def test_criterion_6_directional_experiment(corpus, tmp_path):
     t0 = time.monotonic()
-    manifest = default_corpus
+    manifest = corpus
 
-    base_res = tr.train(tr.TrainConfig(mode="baseline", **BASE_RECIPE),
-                        manifest)
-    base_net = _rebuild(base_res, "baseline", manifest)
+    base_net = tr.train(tr.TrainConfig(mode="baseline", **BASE_RECIPE),
+                        manifest).network
     base_ckpt = tmp_path / "baseline_best.ckpt"
     m.save_checkpoint(base_net, base_ckpt)
 
-    spk_res = tr.train(tr.TrainConfig(mode="spk",
+    spk_net = tr.train(tr.TrainConfig(mode="spk",
                                       init_checkpoint=str(base_ckpt),
-                                      **SPK_RECIPE), manifest)
-    spk_net = _rebuild(spk_res, "spk", manifest)
+                                      **SPK_RECIPE), manifest).network
     spk_ckpt = tmp_path / "spk_best.ckpt"
     m.save_checkpoint(spk_net, spk_ckpt)
 
-    iv_res = tr.train(tr.TrainConfig(mode="ivspk",
+    iv_net = tr.train(tr.TrainConfig(mode="ivspk",
                                      init_checkpoint=str(spk_ckpt),
-                                     **IVSPK_RECIPE), manifest)
-    iv_net = _rebuild(iv_res, "ivspk", manifest)
+                                     **IVSPK_RECIPE), manifest).network
 
     eers = {"baseline": _eval_pooled(base_net, manifest),
             "spk": _eval_pooled(spk_net, manifest),
@@ -379,9 +363,9 @@ def test_criterion_6_directional_experiment(default_corpus, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_7_determinism_and_persistence(default_corpus, tmp_path):
+def test_criterion_7_determinism_and_persistence(corpus, tmp_path):
     t0 = time.monotonic()
-    manifest = default_corpus
+    manifest = corpus
     enc = m.EncoderConfig(conv_layers=((8, 8, 4), (8, 3, 2)), model_dim=8,
                           n_transformer_layers=1, n_attention_heads=2,
                           ffn_dim=16, max_frames=512)
@@ -391,10 +375,7 @@ def test_criterion_7_determinism_and_persistence(default_corpus, tmp_path):
     def one_run(tag):
         cfg = tr.TrainConfig(mode="spk", epochs=2, batch_size=16,
                              clip_len=500, learning_rate=1e-3, seed=3)
-        res = tr.train(cfg, manifest, encoder=enc, head=head)
-        net = m.SInMTNetwork("spk", n_speakers=len(res.speaker_classes),
-                             encoder=enc, head=head, grl_scale=-1.0, seed=3)
-        net.params.load_state(res.best_state)
+        net = tr.train(cfg, manifest, encoder=enc, head=head).network
         ckpt = tmp_path / f"{tag}.ckpt"
         m.save_checkpoint(net, ckpt)
         scores = tmp_path / f"{tag}.scores"

@@ -76,10 +76,6 @@ class TestForwardPrimitives:
         assert np.all(np.isfinite(b))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_relu_values(self):
-        out = ad.relu(ad.Tensor([-1.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
-
     def test_gelu_matches_gaussian_cdf_definition(self):
         rng = np.random.default_rng(7)
         x = rng.normal(0, 2, size=64)
@@ -130,7 +126,7 @@ class TestForwardPrimitives:
         rng = np.random.default_rng(11)
         x = ad.Tensor(rng.normal(0, 10, size=(3, 8)))
         for out in (ad.softmax(x), ad.log_softmax(x), ad.gelu(x),
-                    ad.relu(x), ad.scale(x, -3.0)):
+                    ad.scale(x, -3.0)):
             assert np.all(np.isfinite(out.data))
 
 
@@ -253,12 +249,6 @@ class TestBackward:
             lambda a, b: ad.conv1d(a, b, stride=3),
             [ad.Tensor(r.normal(size=(2, 3, 20)), requires_grad=True),
              ad.Tensor(r.normal(size=(4, 3, 5)), requires_grad=True)]))
-        # keep relu inputs away from the kink at 0
-        case("relu", lambda r: (
-            lambda a: ad.relu(a),
-            [ad.Tensor(r.uniform(0.1, 1.0, size=(4, 6))
-                       * r.choice([-1.0, 1.0], size=(4, 6)),
-                       requires_grad=True)]))
         case("gelu", lambda r: (
             lambda a: ad.gelu(a),
             [ad.Tensor(r.normal(size=(4, 6)), requires_grad=True)]))

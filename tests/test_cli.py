@@ -76,7 +76,7 @@ class TestGen:
         assert resolved.corpus.seed == 5
         # the echo carries every default explicitly
         doc = json.loads((cli_corpus / "config.resolved").read_text())
-        assert set(doc) == {"corpus", "model", "train", "eval"}
+        assert set(doc) == {"corpus", "model", "train"}
 
     def test_unknown_key_names_the_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ gradient paths are checked against sign-flip and blocking arguments that
 follow from the reversal layer alone.
 """
 
+import json
 import math
 
 import numpy as np
@@ -59,7 +60,7 @@ class TestEncode:
         w = np.random.default_rng(0).normal(size=(2, 4000)) * 0.1
         stack = net.encode(w)
         assert len(stack) == 3
-        for layer in stack.layers:
+        for layer in stack:
             assert layer.shape == (2, 250, 32)
 
     def test_double_length_doubles_frames(self):
@@ -67,7 +68,7 @@ class TestEncode:
                              encoder=m.EncoderConfig(max_frames=512), seed=0)
         w = np.random.default_rng(1).normal(size=(1, 8000)) * 0.1
         stack = net.encode(w)
-        assert stack.layers[0].shape == (1, 500, 32)
+        assert stack[0].shape == (1, 500, 32)
 
     def test_too_short_input_names_minimum(self):
         net = m.SInMTNetwork(mode="baseline", seed=0)
@@ -79,7 +80,7 @@ class TestEncode:
         w = np.random.default_rng(2).normal(size=(2, 64))
         s1 = net.encode(w)
         s2 = net.encode(w)
-        for a, b in zip(s1.layers, s2.layers):
+        for a, b in zip(s1, s2):
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_frame_budget_guard(self):
@@ -92,7 +93,7 @@ class TestEncode:
         net = tiny_net("baseline")
         w = np.random.default_rng(3).normal(size=(3, 80))
         stack = net.encode(w)
-        for layer in stack.layers:
+        for layer in stack:
             assert np.all(np.isfinite(layer.data))
 
 
@@ -130,7 +131,7 @@ class TestMhfaPool:
         emb, _ = m.mhfa_pool(stack, net.params, "spoof_head")
 
         n_layers = len(stack)
-        mean_layers = sum(l.data for l in stack.layers) / n_layers
+        mean_layers = sum(l.data for l in stack) / n_layers
         v = mean_layers @ net.params["spoof_head.value_proj"].data
         pooled = v.mean(axis=1)  # uniform attention = time mean
         flat = np.concatenate([pooled] * net.head_config.n_heads, axis=1)
@@ -150,7 +151,7 @@ class TestMhfaPool:
         w = np.random.default_rng(9).normal(size=(1, 64))
         stack = net.encode(w)
         with pytest.raises(ValueError, match="layer"):
-            m.mhfa_pool(stack.layers[:1], net.params, "spoof_head")
+            m.mhfa_pool(stack[:1], net.params, "spoof_head")
 
 
 class TestNetworkContract:
@@ -308,6 +309,29 @@ class TestCheckpoints:
         m.save_checkpoint(m.load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_legacy_speaker_loss_weight_key_is_ignored(self, tmp_path):
+        # checkpoints written before the field was dropped carry it
+        net = tiny_net("spk", n_speakers=4, seed=38)
+        path = tmp_path / "legacy.ckpt"
+        m.save_checkpoint(net, path)
+        version, mlen, rest = path.read_bytes().split(b"\n", 2)
+        manifest = json.loads(rest[:int(mlen)])
+        manifest["speaker_loss_weight"] = 0.1
+        mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        path.write_bytes(version + b"\n" + str(len(mbytes)).encode() + b"\n"
+                         + mbytes + rest[int(mlen):])
+        assert "speaker_loss_weight" in m.read_checkpoint(path)[0]
+
+        loaded = m.load_checkpoint(path)
+        assert (loaded.mode, loaded.grl_scale, loaded.n_speakers,
+                loaded.seed) == ("spk", -1.0, 4, 38)
+        for name in net.params:
+            np.testing.assert_array_equal(loaded.params[name].data,
+                                          net.params[name].data)
+        resaved = tmp_path / "resaved.ckpt"
+        m.save_checkpoint(loaded, resaved)
+        assert "speaker_loss_weight" not in m.read_checkpoint(resaved)[0]
+
     def test_spk_to_ivspk_flip(self, tmp_path):
         net = tiny_net("spk", n_speakers=4, seed=33)
         path = tmp_path / "spk.ckpt"
@@ -359,7 +383,7 @@ class TestCheckpoints:
         m.save_checkpoint(small, path)
         large = tiny_net("spk", n_speakers=6, seed=35)
         with pytest.raises(ValueError, match="speaker_head.cls_w"):
-            m.restore_parameters(large, path)
+            large.params.load_state(m.read_checkpoint(path)[1])
 
     def test_version_guard(self, tmp_path):
         path = tmp_path / "bad.ckpt"
