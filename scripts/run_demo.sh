@@ -4,7 +4,9 @@
 #   2. spk      — cooperative multi-task (speaker head sharpens identity)
 #   3. ivspk    — adversarial multi-task (gradient reversal suppresses
 #                 identity), warm-started from the spk checkpoint
-# Finishes in under ten minutes on one CPU core.
+# The same cascade took 782 s and 897 s (13-15 min) in two runs as
+# acceptance criterion 6 on a 2-core machine with two BLAS threads.
+# Results depend on the BLAS thread count (OPENBLAS_NUM_THREADS).
 set -eu
 
 WORK="${1:-runs/demo}"

@@ -64,47 +64,6 @@ class Tensor:
         grad = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad})"
 
-    # Operator sugar; constants are wrapped as non-grad tensors.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 class _Node:
     __slots__ = ("op", "input_ids", "backward_fn")
@@ -217,23 +176,24 @@ class Tape:
         return np.zeros_like(t.data)
 
 
-def _active_tape_for(inputs: Sequence[Tensor]) -> Tape | None:
-    if _ACTIVE_TAPE is None:
-        return None
-    if any(t.requires_grad for t in inputs):
-        return _ACTIVE_TAPE
-    return None
+def _recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on ``inputs`` records a tape node: a tape is active
+    and some input requires gradients."""
+    return _ACTIVE_TAPE is not None and any(t.requires_grad for t in inputs)
 
 
 def _emit(op: str, inputs: Sequence[Tensor], out_data: Array,
-          backward_builder: Callable[[], Callable]) -> Tensor:
-    """Return the op result, recording a tape node only when needed."""
-    tape = _active_tape_for(inputs)
-    if tape is None:
-        out = Tensor(out_data)
-        out.requires_grad = any(t.requires_grad for t in inputs)
-        return out
-    return tape._record(op, inputs, out_data, backward_builder())
+          bwd: Callable[[Array], tuple]) -> Tensor:
+    """Return the op result, recording a tape node when ``_recording``.
+
+    ``bwd`` maps the output gradient to one gradient (or None) per
+    input and must use only values captured at forward time.
+    """
+    if _recording(inputs):
+        return _ACTIVE_TAPE._record(op, inputs, out_data, bwd)
+    out = Tensor(out_data)
+    out.requires_grad = any(t.requires_grad for t in inputs)
+    return out
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -259,33 +219,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = a.data + b.data
     except ValueError:
         raise ValueError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+    sa, sb = a.shape, b.shape
 
-    def build():
-        sa, sb = a.shape, b.shape
+    def bwd(g):
+        return (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
-        def bwd(g):
-            return (_unbroadcast(g, sa), _unbroadcast(g, sb))
-
-        return bwd
-
-    return _emit("add", (a, b), out, build)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise ValueError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
-
-    def build():
-        sa, sb = a.shape, b.shape
-
-        def bwd(g):
-            return (_unbroadcast(g, sa), _unbroadcast(-g, sb))
-
-        return bwd
-
-    return _emit("sub", (a, b), out, build)
+    return _emit("add", (a, b), out, bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -293,28 +232,21 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         out = a.data * b.data
     except ValueError:
         raise ValueError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
+    ad, bd = a.data, b.data
 
-    def build():
-        ad, bd = a.data, b.data
+    def bwd(g):
+        return (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape))
 
-        def bwd(g):
-            return (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape))
-
-        return bwd
-
-    return _emit("mul", (a, b), out, build)
+    return _emit("mul", (a, b), out, bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
-    def build():
-        def bwd(g):
-            return (c * g,)
+    def bwd(g):
+        return (c * g,)
 
-        return bwd
-
-    return _emit("scale", (a,), c * a.data, build)
+    return _emit("scale", (a,), c * a.data, bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -323,32 +255,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: operands must be at least 2-D, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-    out = np.matmul(a.data, b.data)
+    ad, bd = a.data, b.data
 
-    def build():
-        ad, bd = a.data, b.data
+    def bwd(g):
+        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+        return (_unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape))
 
-        def bwd(g):
-            ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-            gb = np.matmul(np.swapaxes(ad, -1, -2), g)
-            return (_unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape))
-
-        return bwd
-
-    return _emit("matmul", (a, b), out, build)
+    return _emit("matmul", (a, b), np.matmul(ad, bd), bwd)
 
 
 def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     """Strided cross-correlation, valid windows only (no padding).
 
     ``signal`` is (B, C, L) and ``kernel`` (O, C, K); the result is
-    (B, O, T) with T = floor((L - K) / stride) + 1. Plain 1-D inputs are
-    treated as single-channel, single-filter and return a 1-D result.
+    (B, O, T) with T = floor((L - K) / stride) + 1.
     """
-    flat = signal.ndim == 1 and kernel.ndim == 1
-    if flat:
-        signal = reshape(signal, (1, 1, signal.shape[0]))
-        kernel = reshape(kernel, (1, 1, kernel.shape[0]))
     if signal.ndim != 3 or kernel.ndim != 3:
         raise ValueError(
             f"conv1d: expected (B, C, L) signal and (O, C, K) kernel, "
@@ -365,54 +287,46 @@ def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
         raise ValueError(
             f"conv1d: signal length {L} shorter than kernel length {K}")
     T = (L - K) // stride + 1
-    xd, wd = signal.data, kernel.data
+    xd = signal.data
     # im2col: gather the strided windows once so both passes are single
     # BLAS contractions instead of K separate reductions.
     win = np.lib.stride_tricks.sliding_window_view(xd, K, axis=2)
     win = win[:, :, ::stride]                                   # (B, C, T, K)
     cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3))      # (B, T, C, K)
     cols = cols.reshape(B, T, C * K)
-    wmat = wd.reshape(O, C * K)
+    wmat = kernel.data.reshape(O, C * K)
     out = np.ascontiguousarray(np.matmul(cols, wmat.T).transpose(0, 2, 1))
 
-    def build():
-        def bwd(g):
-            gt = np.ascontiguousarray(g.transpose(0, 2, 1))     # (B, T, O)
-            gw = (gt.reshape(B * T, O).T
-                  @ cols.reshape(B * T, C * K)).reshape(O, C, K)
-            gcols = np.matmul(gt, wmat).reshape(B, T, C, K)
-            gcols = gcols.transpose(0, 2, 1, 3)                 # (B, C, T, K)
-            gx = np.zeros_like(xd)
-            for k in range(K):
-                sl = slice(k, k + (T - 1) * stride + 1, stride)
-                gx[:, :, sl] += gcols[:, :, :, k]
-            return (gx, gw)
+    def bwd(g):
+        gt = np.ascontiguousarray(g.transpose(0, 2, 1))         # (B, T, O)
+        gw = (gt.reshape(B * T, O).T
+              @ cols.reshape(B * T, C * K)).reshape(O, C, K)
+        gcols = np.matmul(gt, wmat).reshape(B, T, C, K)
+        gcols = gcols.transpose(0, 2, 1, 3)                     # (B, C, T, K)
+        gx = np.zeros_like(xd)
+        for k in range(K):
+            sl = slice(k, k + (T - 1) * stride + 1, stride)
+            gx[:, :, sl] += gcols[:, :, :, k]
+        return (gx, gw)
 
-        return bwd
-
-    result = _emit("conv1d", (signal, kernel), out, build)
-    if flat:
-        result = reshape(result, (T,))
-    return result
+    return _emit("conv1d", (signal, kernel), out, bwd)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian error linear unit, x * Phi(x)."""
     xd = x.data
     cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
-    out = xd * cdf
-
-    def build():
+    if _recording((x,)):
+        # Only a recorded node needs the derivative. Taking it here keeps
+        # one array alive until backward instead of both x and Phi(x).
         deriv = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
         deriv *= xd
         deriv += cdf
 
-        def bwd(g):
-            return (g * deriv,)
+    def bwd(g):
+        return (g * deriv,)
 
-        return bwd
-
-    return _emit("gelu", (x,), out, build)
+    return _emit("gelu", (x,), xd * cdf, bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -422,35 +336,25 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     np.exp(out, out=out)
     out /= np.sum(out, axis=axis, keepdims=True)
 
-    def build():
-        def bwd(g):
-            dot = np.sum(g * out, axis=axis, keepdims=True)
-            gx = g - dot
-            gx *= out
-            return (gx,)
+    def bwd(g):
+        dot = np.sum(g * out, axis=axis, keepdims=True)
+        gx = g - dot
+        gx *= out
+        return (gx,)
 
-        return bwd
-
-    return _emit("softmax", (x,), out, build)
+    return _emit("softmax", (x,), out, bwd)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     if not -x.ndim <= axis < x.ndim:
         raise ValueError(f"log_softmax: axis {axis} invalid for shape {x.shape}")
-    m = np.max(x.data, axis=axis, keepdims=True)
-    shifted = x.data - m
-    lse = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-    out = shifted - lse
+    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
+    out = shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
-    def build():
-        p = np.exp(out)
+    def bwd(g):
+        return (g - np.exp(out) * np.sum(g, axis=axis, keepdims=True),)
 
-        def bwd(g):
-            return (g - p * np.sum(g, axis=axis, keepdims=True),)
-
-        return bwd
-
-    return _emit("log_softmax", (x,), out, build)
+    return _emit("log_softmax", (x,), out, bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
@@ -465,66 +369,32 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     var = np.var(x.data, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = gain.data * xhat + bias.data
+    gd = gain.data
+    reduce_axes = tuple(range(x.ndim - 1))
 
-    def build():
-        gd = gain.data
-        reduce_axes = tuple(range(x.ndim - 1))
+    def bwd(g):
+        gg = np.sum(g * xhat, axis=reduce_axes)
+        gb = np.sum(g, axis=reduce_axes)
+        gi = g * gd
+        gx = inv * (gi - np.mean(gi, axis=-1, keepdims=True)
+                    - xhat * np.mean(gi * xhat, axis=-1, keepdims=True))
+        return (gx, gg, gb)
 
-        def bwd(g):
-            gg = np.sum(g * xhat, axis=reduce_axes)
-            gb = np.sum(g, axis=reduce_axes)
-            gi = g * gd
-            gx = inv * (gi - np.mean(gi, axis=-1, keepdims=True)
-                        - xhat * np.mean(gi * xhat, axis=-1, keepdims=True))
-            return (gx, gg, gb)
-
-        return bwd
-
-    return _emit("layer_norm", (x, gain, bias), out, build)
+    return _emit("layer_norm", (x, gain, bias), gd * xhat + bias.data, bwd)
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = np.sum(x.data, axis=axis, keepdims=keepdims)
+    shape = x.shape
 
-    def build():
-        shape = x.shape
+    def bwd(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape).copy(),)
 
-        def bwd(g):
-            if axis is None:
-                return (np.broadcast_to(g, shape).copy(),)
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, shape).copy(),)
-
-        return bwd
-
-    return _emit("sum", (x,), out, build)
-
-
-def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = np.mean(x.data, axis=axis, keepdims=keepdims)
-    n = x.size if axis is None else np.prod(
-        [x.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))])
-
-    def build():
-        shape = x.shape
-        inv_n = 1.0 / float(n)
-
-        def bwd(g):
-            if axis is None:
-                return (np.broadcast_to(g * inv_n, shape).copy(),)
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g * inv_n, shape).copy(),)
-
-        return bwd
-
-    return _emit("mean", (x,), out, build)
+    return _emit("sum", (x,), np.sum(x.data, axis=axis, keepdims=keepdims), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ValueError("concat: need at least one tensor")
     try:
@@ -533,45 +403,30 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ValueError(
             f"concat: shapes {[t.shape for t in tensors]} do not align "
             f"on axis {axis}")
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
-    def build():
-        sizes = [t.shape[axis] for t in tensors]
-        splits = np.cumsum(sizes)[:-1]
+    def bwd(g):
+        return tuple(np.split(g, splits, axis=axis))
 
-        def bwd(g):
-            return tuple(np.split(g, splits, axis=axis))
-
-        return bwd
-
-    return _emit("concat", tensors, out, build)
+    return _emit("concat", tensors, out, bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out = x.data.reshape(shape)
+    orig = x.shape
 
-    def build():
-        orig = x.shape
+    def bwd(g):
+        return (g.reshape(orig),)
 
-        def bwd(g):
-            return (g.reshape(orig),)
-
-        return bwd
-
-    return _emit("reshape", (x,), out, build)
+    return _emit("reshape", (x,), x.data.reshape(shape), bwd)
 
 
 def transpose(x: Tensor, axes) -> Tensor:
-    out = np.transpose(x.data, axes)
+    inverse = np.argsort(axes)
 
-    def build():
-        inverse = np.argsort(axes)
+    def bwd(g):
+        return (np.transpose(g, inverse),)
 
-        def bwd(g):
-            return (np.transpose(g, inverse),)
-
-        return bwd
-
-    return _emit("transpose", (x,), out, build)
+    return _emit("transpose", (x,), np.transpose(x.data, axes), bwd)
 
 
 def gradient_reversal(x: Tensor, grl_scale: float) -> Tensor:
@@ -584,13 +439,10 @@ def gradient_reversal(x: Tensor, grl_scale: float) -> Tensor:
     """
     lam = float(grl_scale)
 
-    def build():
-        def bwd(g):
-            return ((-lam) * g,)
+    def bwd(g):
+        return ((-lam) * g,)
 
-        return bwd
-
-    return _emit("grl", (x,), x.data, build)
+    return _emit("grl", (x,), x.data, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +478,6 @@ class ParameterSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __iter__(self):
         return iter(self._params)
 
@@ -643,9 +492,6 @@ class ParameterSet:
 
     def group_names(self, group: str) -> list[str]:
         return [n for n, g in self._groups.items() if g == group]
-
-    def n_scalars(self) -> int:
-        return sum(t.size for t in self._params.values())
 
     def collect_grads(self, tape: Tape) -> dict[str, Array]:
         """Per-name gradients after backward; zeros for untouched params."""

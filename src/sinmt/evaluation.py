@@ -321,6 +321,8 @@ def _forward_batches(network, records, waveform_of, batch_size: int):
     """Full-length forward passes over ``records`` in order, no tape:
     yields (chunk of records, ForwardOutput) per batch of
     ``batch_size``. ``waveform_of`` maps a record to its waveform."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     for start in range(0, len(records), batch_size):
         chunk = records[start:start + batch_size]
         yield chunk, network.forward(np.stack([waveform_of(r)

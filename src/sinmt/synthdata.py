@@ -17,6 +17,7 @@ which keeps the speaker fundamentals trivially resolvable.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import struct
@@ -155,10 +156,6 @@ class AttackSpec:
     params: dict = field(default_factory=dict)
 
 
-ATTACK_KINDS = ("phase_randomize", "filter_mismatch", "bit_crush",
-                "artifact_tone")
-
-
 def default_attacks() -> list:
     return [
         AttackSpec("A01", "phase_randomize", {"frame_len": 256}),
@@ -225,22 +222,36 @@ def artifact_tone(wav: np.ndarray, rng, freq_hz: float = 1450.0,
     return wav + 10.0 ** (level_db / 20.0) * tone
 
 
+_ATTACK_TRANSFORMS = {"phase_randomize": phase_randomize,
+                      "filter_mismatch": filter_mismatch,
+                      "bit_crush": bit_crush,
+                      "artifact_tone": artifact_tone}
+ATTACK_KINDS = tuple(_ATTACK_TRANSFORMS)
+
+
+def _attack_param_names(kind: str) -> set:
+    """The params an attack kind accepts: its transform's keyword
+    arguments, less the sample rate that ``apply_attack`` supplies."""
+    params = inspect.signature(_ATTACK_TRANSFORMS[kind]).parameters.values()
+    return {p.name for p in params
+            if p.default is not p.empty} - {"sample_rate"}
+
+
 def apply_attack(wav: np.ndarray, spec: AttackSpec, rng,
                  profile: SpeakerProfile | None = None,
                  sample_rate: int = 4000) -> np.ndarray:
     """Run one attack transform and re-normalize to peak 0.9."""
-    if spec.kind == "phase_randomize":
-        out = phase_randomize(wav, rng, **spec.params)
-    elif spec.kind == "filter_mismatch":
+    transform = _ATTACK_TRANSFORMS.get(spec.kind)
+    if transform is None:
+        raise ValueError(f"unknown attack kind: {spec.kind!r}")
+    if spec.kind == "filter_mismatch":
         if profile is None:
             raise ValueError("filter_mismatch requires the speaker profile")
-        out = filter_mismatch(wav, rng, profile.filter_taps, **spec.params)
-    elif spec.kind == "bit_crush":
-        out = bit_crush(wav, rng, **spec.params)
+        out = transform(wav, rng, profile.filter_taps, **spec.params)
     elif spec.kind == "artifact_tone":
-        out = artifact_tone(wav, rng, sample_rate=sample_rate, **spec.params)
+        out = transform(wav, rng, sample_rate=sample_rate, **spec.params)
     else:
-        raise ValueError(f"unknown attack kind: {spec.kind!r}")
+        out = transform(wav, rng, **spec.params)
     return peak_normalize(out)
 
 
@@ -383,6 +394,17 @@ class CorpusConfig:
                 f"split fractions must sum to 1, got {self.split_fractions}")
         if not self.attacks:
             raise ValueError("attack list must be nonempty")
+        for spec in self.attacks:
+            if spec.kind not in ATTACK_KINDS:
+                raise ValueError(
+                    f"attack {spec.attack_id}: unknown kind {spec.kind!r} "
+                    f"(expected one of {ATTACK_KINDS})")
+            allowed = _attack_param_names(spec.kind)
+            unknown = sorted(set(spec.params) - allowed)
+            if unknown:
+                raise ValueError(
+                    f"attack {spec.attack_id}: {spec.kind} takes no param "
+                    f"{unknown[0]!r} (accepts {sorted(allowed)})")
         n_eval = self.n_eval_speakers()
         if not 1 <= n_eval < self.n_speakers:
             raise ValueError(

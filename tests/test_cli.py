@@ -108,6 +108,25 @@ class TestGen:
         assert cli.main(["gen", "--config", str(bad),
                          "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("attack,named", [
+        ({"attack_id": "A01", "kind": "phase_randomise"}, "phase_randomise"),
+        ({"attack_id": "A03", "kind": "bit_crush", "params": {"bitz": 4}},
+         "bitz"),
+        # supplied by apply_attack itself, so not settable per attack
+        ({"attack_id": "A04", "kind": "artifact_tone",
+          "params": {"sample_rate": 8000}}, "sample_rate"),
+    ])
+    def test_bad_attack_spec_fails_before_writing(self, tmp_path, capsys,
+                                                  attack, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"corpus": dict(TINY_CORPUS,
+                                                  attacks=[attack])}))
+        out = tmp_path / "corpus"
+        code = cli.main(["gen", "--config", str(bad), "--out", str(out)])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts_and_history(self, trained_run):
@@ -200,6 +219,19 @@ class TestEval:
         out2 = tmp_path / "eval2"
         assert cli.main(args[:-1] + [str(out2)]) == 0
         assert (out2 / "scores.txt").read_bytes() == first
+
+    @pytest.mark.parametrize("batch_size", ["0", "-1"])
+    def test_non_positive_batch_size_is_rejected(self, cli_corpus,
+                                                 trained_run, tmp_path,
+                                                 capsys, batch_size):
+        code = cli.main(["eval", "--ckpt", str(trained_run / "best.ckpt"),
+                         "--corpus", str(cli_corpus),
+                         "--out", str(tmp_path / "x"),
+                         "--batch-size", batch_size])
+        assert code == 2
+        assert f"batch_size must be at least 1, got {batch_size}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "x" / "scores.txt").exists()
 
     def test_missing_checkpoint_exits_2(self, cli_corpus, tmp_path):
         code = cli.main(["eval", "--ckpt", str(tmp_path / "no.ckpt"),
