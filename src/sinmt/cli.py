@@ -42,8 +42,7 @@ def _load_network(path: str, mode: str | None = None):
     try:
         return md.load_checkpoint(path, mode=mode)
     except (OSError, ValueError) as exc:
-        raise cf.ConfigError(f"cannot load checkpoint {path}: {exc}") \
-            from exc
+        raise ValueError(f"cannot load checkpoint {path}: {exc}") from exc
 
 
 def cmd_gen(args) -> int:
@@ -72,9 +71,6 @@ def cmd_train(args) -> int:
              "checkpoint via --init")
 
     manifest = sd.read_manifest(args.corpus)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     _log(f"training mode={cfg.train.mode} grl={cfg.train.resolved_grl()} "
          f"alpha={cfg.train.alpha} seed={cfg.train.seed}")
     with warnings.catch_warnings(record=True) as caught:
@@ -84,6 +80,8 @@ def cmd_train(args) -> int:
         for w in caught:
             _log(f"warning: {w.message}")
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     md.save_checkpoint(result.network, out / "best.ckpt")
     tr.write_history(result.history, out / "history.txt")
     cf.write_resolved(cfg, out / "config.resolved")
@@ -96,11 +94,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     network = _load_network(args.ckpt)
     manifest = sd.read_manifest(args.corpus)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     scores = ev.score_split(network, manifest, args.split,
                             batch_size=args.batch_size)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     ev.write_scores(scores, out / "scores.txt")
     report = ev.breakdown_report(
         scores, expected_attacks=[a.attack_id for a in manifest.attacks])
@@ -196,9 +193,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except cf.ConfigError as exc:
-        _log(f"configuration error: {exc}")
-        return EXIT_CONFIG
     except ad.NumericsError as exc:
         _log(f"numerical failure: {exc}")
         return EXIT_NUMERIC

@@ -9,27 +9,24 @@ An experiment file looks like::
     }
 
 Every section and every field is optional — omitted fields take the
-module defaults — but unknown keys are rejected by name so typos never
-silently fall back to defaults. `resolve()` fills in all defaults; the
-resolved document is itself a valid configuration that reproduces the
-run exactly.
+module defaults — but unknown keys are rejected by their dotted path
+(``model.encoder.ffn_dims``) so typos never silently fall back to
+defaults. `load` reads and validates a file; `write_resolved` writes
+the configuration with every default filled in, which is itself a valid
+configuration that reproduces the run exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from . import model as md
 from . import synthdata as sd
 from . import training as tr
 
 SPLIT_CHOICES = sd.SPLITS + ("all",)
-
-
-class ConfigError(ValueError):
-    """A configuration document that cannot be accepted."""
 
 
 @dataclass
@@ -49,142 +46,80 @@ class ExperimentConfig:
     train: tr.TrainConfig = field(default_factory=tr.TrainConfig)
 
     def validate(self) -> None:
-        try:
-            self.corpus.validate()
-            self.model.validate()
-            self.train.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        self.corpus.validate()
+        self.model.validate()
+        self.train.validate()
 
 
-# ---------------------------------------------------------------------------
-# JSON → dataclasses, with strict unknown-key reporting
-# ---------------------------------------------------------------------------
-
-_SECTION_TYPES = {
-    "corpus": sd.CorpusConfig,
-    "model": ModelConfig,
-    "train": tr.TrainConfig,
-}
-
-
-def _build_attack(data, path: str) -> sd.AttackSpec:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} must be an object")
-    allowed = {"attack_id", "kind", "params"}
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {path}.{key}")
-    missing = {"attack_id", "kind"} - set(data)
-    if missing:
-        raise ConfigError(f"{path} is missing {sorted(missing)[0]!r}")
-    params = data.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{path}.params must be an object")
-    return sd.AttackSpec(str(data["attack_id"]), str(data["kind"]),
-                         dict(params))
+# Keys whose JSON object builds a nested dataclass (`corpus.attacks`, a
+# list of them, is handled on its own).
+_NESTED = {"corpus": sd.CorpusConfig, "model": ModelConfig,
+           "train": tr.TrainConfig, "encoder": md.EncoderConfig,
+           "head": md.MHFAConfig}
 
 
 def _convert(name: str, value, path: str):
-    """Field-specific JSON-value coercions (lists → tuples, attacks)."""
+    """Field-specific coercions of a JSON leaf value."""
+    if name in ("attack_id", "kind"):
+        return str(value)  # the manifest header writes them as text
+    if name == "params" and not isinstance(value, dict):
+        raise ValueError(f"{path} must be an object")
     if value is None:
         return None
-    if name == "attacks":
-        if not isinstance(value, list):
-            raise ConfigError(f"{path} must be a list")
-        return [_build_attack(v, f"{path}[{i}]")
-                for i, v in enumerate(value)]
     if name == "conv_layers":
         try:
             return [tuple(int(x) for x in layer) for layer in value]
         except (TypeError, ValueError) as exc:
-            raise ConfigError(
+            raise ValueError(
                 f"{path} must be a list of [channels, kernel, stride] "
                 f"triples") from exc
     if name in ("split_fractions", "spoof_class_weights"):
         try:
             return tuple(float(x) for x in value)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path} must be a list of numbers") from exc
+            raise ValueError(f"{path} must be a list of numbers") from exc
     return value
 
 
-def _build_dataclass(cls, data, path: str):
+def _build(cls, data, path: str):
+    """Build dataclass `cls` from a JSON object found at `path`."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{path} must be an object")
-    spec_fields = {f.name: f for f in fields(cls)}
+        raise ValueError(f"{path or 'configuration'} must be an object")
+    for f in fields(cls):
+        if f.name not in data and f.default is MISSING \
+                and f.default_factory is MISSING:
+            raise ValueError(f"{path} is missing {f.name!r}")
+    names = {f.name for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
-        if key not in spec_fields:
-            raise ConfigError(f"unknown key {path}.{key}")
-        target = spec_fields[key]
-        if dataclasses.is_dataclass(target.type) or key in ("encoder",
-                                                            "head"):
-            sub_cls = {"encoder": md.EncoderConfig,
-                       "head": md.MHFAConfig}.get(key)
-            kwargs[key] = _build_dataclass(sub_cls, value,
-                                           f"{path}.{key}")
+        where = f"{path}.{key}" if path else key
+        if key not in names:
+            raise ValueError(f"unknown key {where}")
+        if key == "attacks":
+            if not isinstance(value, list):
+                raise ValueError(f"{where} must be a list")
+            kwargs[key] = [_build(sd.AttackSpec, v, f"{where}[{i}]")
+                           for i, v in enumerate(value)]
+        elif key in _NESTED:
+            kwargs[key] = _build(_NESTED[key], value, where)
         else:
-            kwargs[key] = _convert(key, value, f"{path}.{key}")
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad value in section {path}: {exc}") from exc
-
-
-def from_dict(document: dict) -> ExperimentConfig:
-    if not isinstance(document, dict):
-        raise ConfigError("configuration must be a JSON object")
-    for key in document:
-        if key not in _SECTION_TYPES:
-            raise ConfigError(f"unknown key {key}")
-    sections = {}
-    for name, cls in _SECTION_TYPES.items():
-        if name in document:
-            sections[name] = _build_dataclass(cls, document[name], name)
-    cfg = ExperimentConfig(**sections)
-    cfg.validate()
-    return cfg
-
-
-def loads(text: str) -> ExperimentConfig:
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"configuration is not valid JSON: {exc}") from exc
-    return from_dict(document)
+            kwargs[key] = _convert(key, value, where)
+    return cls(**kwargs)
 
 
 def load(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as f:
-        return loads(f.read())
-
-
-# ---------------------------------------------------------------------------
-# dataclasses → JSON
-# ---------------------------------------------------------------------------
-
-
-def _plain(value):
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _plain(getattr(value, f.name))
-                for f in fields(value)}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
-
-
-def to_dict(cfg: ExperimentConfig) -> dict:
-    """The fully resolved document: every field explicit."""
-    return _plain(cfg)
-
-
-def dumps(cfg: ExperimentConfig) -> str:
-    return json.dumps(to_dict(cfg), indent=2, sort_keys=False) + "\n"
+        try:
+            document = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"configuration is not valid JSON: {exc}") from exc
+    cfg = _build(ExperimentConfig, document, "")
+    cfg.validate()
+    return cfg
 
 
 def write_resolved(cfg: ExperimentConfig, path) -> None:
+    """Write `cfg` with every field explicit; `load` reads it back."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(dumps(cfg))
+        f.write(json.dumps(dataclasses.asdict(cfg), indent=2) + "\n")

@@ -336,9 +336,6 @@ def train(config: TrainConfig, manifest: sd.CorpusManifest,
         spoof_labels_all = [int(r.label != ev.BONAFIDE)
                             for r in train_records]
         spoof_weights = inverse_frequency_weights(spoof_labels_all, 2)
-    speaker_weights = None
-    if network.mode != MODE_BASELINE:
-        speaker_weights = np.ones(len(speaker_classes))
 
     waveforms = {r.utt_id: manifest.load_waveform(r)
                  for r in train_records + dev_records}
@@ -379,7 +376,7 @@ def train(config: TrainConfig, manifest: sd.CorpusManifest,
                 speaker_labels=(np.array(y_speaker)
                                 if network.mode != MODE_BASELINE else None))
             stats = train_step(network, batch, config, opt_state,
-                               spoof_weights, speaker_weights)
+                               spoof_weights)
             sum_ls += stats["spoof_loss"] * len(idx)
             sum_ld += stats["speaker_loss"] * len(idx)
             n_items += len(idx)

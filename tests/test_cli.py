@@ -193,6 +193,17 @@ class TestTrain:
                          "--init", str(trained_run / "best.ckpt")]) == 0
         assert "warm-start" not in capsys.readouterr().err
 
+    def test_missing_init_checkpoint_leaves_no_output(self, cli_corpus,
+                                                      tmp_path):
+        cfg_path = write_config(tmp_path / "train.json",
+                                train=train_section(mode="ivspk"))
+        out = tmp_path / "run"
+        code = cli.main(["train", "--config", cfg_path,
+                         "--corpus", str(cli_corpus), "--out", str(out),
+                         "--init", str(tmp_path / "missing.ckpt")])
+        assert code == 3
+        assert not out.exists()
+
     def test_divergence_exits_4(self, cli_corpus, tmp_path):
         cfg_path = write_config(
             tmp_path / "train.json",
@@ -231,7 +242,7 @@ class TestEval:
         assert code == 2
         assert f"batch_size must be at least 1, got {batch_size}" in \
             capsys.readouterr().err
-        assert not (tmp_path / "x" / "scores.txt").exists()
+        assert not (tmp_path / "x").exists()
 
     def test_missing_checkpoint_exits_2(self, cli_corpus, tmp_path):
         code = cli.main(["eval", "--ckpt", str(tmp_path / "no.ckpt"),

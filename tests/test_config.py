@@ -1,0 +1,71 @@
+"""Experiment config files: the resolved echo reads back to the same
+configuration, and unknown keys are rejected by their dotted path."""
+
+import json
+
+import pytest
+
+from sinmt import config as cf
+from sinmt import synthdata as sd
+
+NON_DEFAULT = {
+    "corpus": {
+        "n_speakers": 5, "utterances_per_speaker": 12, "n_samples": 1000,
+        "seed": 5, "split_fractions": [0.6, 0.2, 0.2],
+        "attacks": [
+            {"attack_id": "X1", "kind": "bit_crush", "params": {"bits": 4}},
+            {"attack_id": "X2", "kind": "artifact_tone",
+             "params": {"freq_hz": 900.0, "level_db": -20}},
+        ],
+    },
+    "model": {"encoder": {"conv_layers": [[16, 8, 4], [24, 4, 2]],
+                          "model_dim": 24, "n_attention_heads": 3}},
+    "train": {"mode": "ivspk", "alpha": 0.3, "fold_alpha_into_lambda": True,
+              "spoof_class_weights": [1, 2]},
+}
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_non_default_config_round_trips(tmp_path):
+    cfg = cf.load(write_json(tmp_path / "cfg.json", NON_DEFAULT))
+    assert cfg.corpus.attacks[1] == sd.AttackSpec(
+        "X2", "artifact_tone", {"freq_hz": 900.0, "level_db": -20})
+    assert cfg.corpus.split_fractions == (0.6, 0.2, 0.2)
+    assert cfg.model.encoder.conv_layers == [(16, 8, 4), (24, 4, 2)]
+    assert cfg.train.spoof_class_weights == (1.0, 2.0)
+    assert cfg.train.fold_alpha_into_lambda is True
+
+    first = tmp_path / "first.resolved"
+    cf.write_resolved(cfg, first)
+    again = cf.load(first)
+    assert again == cfg
+    second = tmp_path / "second.resolved"
+    cf.write_resolved(again, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("doc,path", [
+    ({"trian": {}}, "trian"),
+    ({"train": {"learning_rat": 0.1}}, "train.learning_rat"),
+    ({"model": {"encoder": {"ffn_dims": 8}}}, "model.encoder.ffn_dims"),
+    ({"corpus": {"attacks": [{"attack_id": "A01", "kind": "bit_crush",
+                              "bitz": 4}]}}, "corpus.attacks[0].bitz"),
+])
+def test_unknown_key_is_named_by_its_path(tmp_path, doc, path):
+    with pytest.raises(ValueError) as exc:
+        cf.load(write_json(tmp_path / "bad.json", doc))
+    assert str(exc.value) == f"unknown key {path}"
+
+
+def test_numeric_attack_id_reaches_the_manifest_as_text(tmp_path):
+    corpus = dict(NON_DEFAULT["corpus"],
+                  attacks=[{"attack_id": 7, "kind": "bit_crush"}])
+    cfg = cf.load(write_json(tmp_path / "cfg.json", {"corpus": corpus}))
+    assert cfg.corpus.attacks[0].attack_id == "7"
+    sd.generate_corpus(cfg.corpus, tmp_path / "corpus")
+    header = (tmp_path / "corpus" / "manifest.tsv").read_text()
+    assert '"attack_id": "7"' in header
