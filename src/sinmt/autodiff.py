@@ -23,6 +23,9 @@ Array = np.ndarray
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Attention probabilities (float64 elements) per batch chunk, about 8 MB:
+# 4 utterances of 4 heads at 250 frames.
+_ATTENTION_CHUNK = 1 << 20
 
 
 class NumericsError(ArithmeticError):
@@ -343,6 +346,58 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         return (gx,)
 
     return _emit("softmax", (x,), out, bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Scaled dot-product attention, softmax(q kᵀ / √d) v, as one node.
+
+    ``q``, ``k`` and ``v`` are (B, H, T, d). The batch is processed in
+    chunks of about ``_ATTENTION_CHUNK`` probabilities, each with the
+    same float operations in the same order as the unfused matmul →
+    scale → softmax → matmul chain, so the output and the gradients are
+    bit-identical to it. Only the probabilities are kept for backward,
+    and only when a node is recorded.
+    """
+    if q.ndim != 4 or not q.shape == k.shape == v.shape:
+        raise ValueError(
+            f"attention: expected equal (B, H, T, d) q, k, v, "
+            f"got {q.shape}, {k.shape} and {v.shape}")
+    B, H, T, d = q.shape
+    c = float(1.0 / np.sqrt(d))
+    step = max(1, _ATTENTION_CHUNK // (H * T * T))
+    chunks = [slice(b, min(b + step, B)) for b in range(0, B, step)]
+    qd, kd, vd = q.data, k.data, v.data
+    record = _recording((q, k, v))
+    p = np.empty((B if record else min(step, B), H, T, T))
+    out = np.empty((B, H, T, d))
+    for sl in chunks:
+        pc = p[sl] if record else p[:sl.stop - sl.start]
+        np.matmul(qd[sl], np.swapaxes(kd[sl], -1, -2), out=pc)
+        pc *= c
+        pc -= np.max(pc, axis=-1, keepdims=True)
+        np.exp(pc, out=pc)
+        pc /= np.sum(pc, axis=-1, keepdims=True)
+        np.matmul(pc, vd[sl], out=out[sl])
+
+    def bwd(g):
+        dq, dv = np.empty((B, H, T, d)), np.empty((B, H, T, d))
+        # k's gradient is written as (q^T dp) and returned as a view, so
+        # it has the layout the unfused chain's transpose gave it: a
+        # later broadcast sum over it adds in that order.
+        dkt = np.empty((B, H, d, T))
+        dp = np.empty((min(step, B), H, T, T))
+        for sl in chunks:
+            pc, gc, dpc = p[sl], g[sl], dp[:sl.stop - sl.start]
+            np.matmul(np.swapaxes(pc, -1, -2), gc, out=dv[sl])
+            np.matmul(gc, np.swapaxes(vd[sl], -1, -2), out=dpc)
+            dpc -= np.sum(dpc * pc, axis=-1, keepdims=True)
+            dpc *= pc
+            dpc *= c
+            np.matmul(dpc, kd[sl], out=dq[sl])
+            np.matmul(np.swapaxes(qd[sl], -1, -2), dpc, out=dkt[sl])
+        return (dq, np.swapaxes(dkt, -1, -2), dv)
+
+    return _emit("attention", (q, k, v), out, bwd)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration or usage error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -45,6 +46,18 @@ def _load_network(path: str, mode: str | None = None):
         raise ValueError(f"cannot load checkpoint {path}: {exc}") from exc
 
 
+def _require_writable_dir(out: Path) -> None:
+    """Raise OSError unless ``out`` is, or can be made as, a directory:
+    its nearest existing ancestor (itself included) must be a writable
+    directory."""
+    ancestor = out
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK)):
+        raise OSError(f"cannot write --out {out}: {ancestor} is not a "
+                      f"writable directory")
+
+
 def cmd_gen(args) -> int:
     cfg = _load_config(args.config)
     out = Path(args.out)
@@ -64,6 +77,8 @@ def cmd_train(args) -> int:
     if args.init:
         cfg.train.init_checkpoint = args.init
     cfg.validate()
+    out = Path(args.out)
+    _require_writable_dir(out)
     if cfg.train.mode == md.MODE_SPEAKER_INVARIANT and \
             not cfg.train.init_checkpoint:
         _log("warning: adversarial mode is starting cold; the reference "
@@ -80,7 +95,6 @@ def cmd_train(args) -> int:
         for w in caught:
             _log(f"warning: {w.message}")
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     md.save_checkpoint(result.network, out / "best.ckpt")
     tr.write_history(result.history, out / "history.txt")

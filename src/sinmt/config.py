@@ -67,12 +67,14 @@ def _convert(name: str, value, path: str):
     if value is None:
         return None
     if name == "conv_layers":
+        message = f"{path} must be a list of [channels, kernel, stride] triples"
         try:
-            return [tuple(int(x) for x in layer) for layer in value]
+            layers = [tuple(int(x) for x in layer) for layer in value]
         except (TypeError, ValueError) as exc:
-            raise ValueError(
-                f"{path} must be a list of [channels, kernel, stride] "
-                f"triples") from exc
+            raise ValueError(message) from exc
+        if any(len(layer) != 3 for layer in layers):
+            raise ValueError(message)
+        return layers
     if name in ("split_fractions", "spoof_class_weights"):
         try:
             return tuple(float(x) for x in value)

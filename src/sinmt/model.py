@@ -341,9 +341,7 @@ class SInMTNetwork:
         q = head_split(ad.add(ad.matmul(pre, p[f"{pfx}.wq"]), p[f"{pfx}.qb"]))
         k = head_split(ad.add(ad.matmul(pre, p[f"{pfx}.wk"]), p[f"{pfx}.kb"]))
         v = head_split(ad.add(ad.matmul(pre, p[f"{pfx}.wv"]), p[f"{pfx}.vb"]))
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
-                          1.0 / np.sqrt(hd))
-        ctx = ad.matmul(ad.softmax(scores, axis=-1), v)
+        ctx = ad.attention(q, k, v)
         ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, T, D))
         attn_out = ad.add(ad.matmul(ctx, p[f"{pfx}.wo"]), p[f"{pfx}.ob"])
         x = ad.add(x, attn_out)

@@ -87,6 +87,8 @@ PRIMITIVE_CASES = {
         ("softmax_axis0", lambda r: (
             lambda a: ad.softmax(a, axis=0), [_leaf(r, 3, 7)])),
     ],
+    "attention": [("attention", lambda r: (
+        ad.attention, [_leaf(r, 2, 2, 5, 3) for _ in range(3)]))],
     "log_softmax": [("log_softmax", lambda r: (
         lambda a: ad.log_softmax(a, axis=-1), [_leaf(r, 3, 7)]))],
     "layer_norm": [("layer_norm", lambda r: (
@@ -181,6 +183,55 @@ class TestForwardPrimitives:
         for out in (ad.softmax(x), ad.log_softmax(x), ad.gelu(x),
                     ad.scale(x, -3.0)):
             assert np.all(np.isfinite(out.data))
+
+
+def unfused_attention(q, k, v):
+    """softmax(q kᵀ / √d) v from the separate primitives."""
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
+                      1.0 / np.sqrt(q.shape[-1]))
+    return ad.matmul(ad.softmax(scores, axis=-1), v)
+
+
+class TestAttention:
+    @pytest.mark.parametrize("batch", [1, 11])
+    def test_bit_identical_to_unfused_chain(self, batch):
+        """At (H, T, d) = (4, 250, 8) the batch runs in chunks of 4, so
+        B = 11 splits 4/4/3. Inputs and the upstream gradient are
+        head-split views, as in the encoder, and k's gradient must keep
+        the unfused chain's memory layout, because a broadcast sum over
+        it adds in that order."""
+        H, T, d = 4, 250, 8
+        rng = np.random.default_rng(batch)
+        leaves = [ad.Tensor(rng.normal(size=(batch, T, H, d)),
+                            requires_grad=True) for _ in range(3)]
+        proj = ad.Tensor(rng.normal(size=(batch, T, H, d)))
+        results = []
+        for op in (ad.attention, unfused_attention):
+            with ad.Tape() as tape:
+                q, k, v = (ad.transpose(t, (0, 2, 1, 3)) for t in leaves)
+                out = op(q, k, v)
+                loss = ad.reduce_sum(
+                    ad.mul(ad.transpose(out, (0, 2, 1, 3)), proj))
+            tape.backward(loss)
+            results.append((out.data, [tape.grad(t) for t in (q, k, v)]))
+        (fused, fused_grads), (chain, chain_grads) = results
+        assert np.array_equal(fused, chain)
+        for name, a, b in zip("qkv", fused_grads, chain_grads):
+            assert np.array_equal(a, b), name
+            assert a.strides == b.strides, name
+
+    def test_forward_without_tape_matches(self):
+        rng = np.random.default_rng(5)
+        q, k, v = (ad.Tensor(rng.normal(size=(11, 4, 250, 8)))
+                   for _ in range(3))
+        assert np.array_equal(ad.attention(q, k, v).data,
+                              unfused_attention(q, k, v).data)
+
+    def test_shape_mismatch_names_all_shapes(self):
+        a = ad.Tensor(np.zeros((1, 2, 5, 3)))
+        b = ad.Tensor(np.zeros((1, 2, 4, 3)))
+        with pytest.raises(ValueError, match=r"\(1, 2, 4, 3\)"):
+            ad.attention(a, b, a)
 
 
 class TestBackward:

@@ -204,6 +204,21 @@ class TestTrain:
         assert code == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["afile", "afile/run"])
+    def test_out_under_a_file_is_rejected_before_training(
+            self, cli_corpus, tmp_path, monkeypatch, capsys, out):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(tr, "train", no_training)
+        (tmp_path / "afile").write_text("not a directory\n")
+        before = sorted(tmp_path.rglob("*"))
+        code = cli.main(["train", "--corpus", str(cli_corpus),
+                         "--out", str(tmp_path / out)])
+        assert code == 3
+        assert "not a writable directory" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_divergence_exits_4(self, cli_corpus, tmp_path):
         cfg_path = write_config(
             tmp_path / "train.json",

@@ -69,3 +69,14 @@ def test_numeric_attack_id_reaches_the_manifest_as_text(tmp_path):
     sd.generate_corpus(cfg.corpus, tmp_path / "corpus")
     header = (tmp_path / "corpus" / "manifest.tsv").read_text()
     assert '"attack_id": "7"' in header
+
+
+@pytest.mark.parametrize("layers", [[[1, 1]], [[16, 8, 4], [32, 4, 2, 1]],
+                                    [[]]])
+def test_conv_layer_that_is_not_a_triple_is_named(tmp_path, layers):
+    doc = {"model": {"encoder": {"conv_layers": layers}}}
+    with pytest.raises(ValueError) as exc:
+        cf.load(write_json(tmp_path / "bad.json", doc))
+    assert str(exc.value).startswith(
+        "model.encoder.conv_layers must be a list of "
+        "[channels, kernel, stride] triples")
