@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Compare two sinmt source trees bit for bit on a fixed set of steps.
+
+    python scripts/step_fingerprint.py PARENT_SRC CHANGE_SRC
+
+Each ``*_SRC`` is a directory that holds the ``sinmt`` package (a
+checkout's ``src``). Each side runs in its own subprocess, once with
+``OPENBLAS_NUM_THREADS=1`` and once with 2, set before numpy loads.
+
+A run covers baseline, spk and ivspk (α 0.1, folded into λ) at batch
+sizes 11 and 32 and lengths 2000 and 4000 samples. For each it records
+the inference outputs on the batch, then two Adam ``train_step``s: their
+losses, every gradient with its strides, and every parameter after the
+update. The script prints each array that differs between the two
+sides, and exits 1 if any does, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+THREADS = (1, 2)
+MODES = ("baseline", "spk", "ivspk")
+SHAPES = ((11, 2000), (11, 4000), (32, 2000), (32, 4000))
+N_SPEAKERS = 20
+STEPS = 2
+
+
+def record(src: str, out: str) -> None:
+    """Run every case on the sinmt package under ``src`` and save each
+    recorded array to the npz file ``out``."""
+    sys.path.insert(0, src)
+    from sinmt import autodiff as ad
+    from sinmt import model as md
+    from sinmt import training as tr
+
+    arrays = {}
+    step_grads = {}
+    optimizer_step = ad.optimizer_step
+
+    def recording_step(params, grads, state):
+        step_grads.update(grads)
+        optimizer_step(params, grads, state)
+
+    ad.optimizer_step = recording_step
+    for mode in MODES:
+        for b, n in SHAPES:
+            case = f"{mode}/B{b}xN{n}"
+            rng = np.random.default_rng(np.random.SeedSequence([b, n]))
+            batch = tr.Batch(
+                waveforms=rng.normal(size=(b, n)) * 0.3,
+                spoof_labels=rng.integers(0, 2, size=b),
+                speaker_labels=(None if mode == "baseline" else
+                                rng.integers(0, N_SPEAKERS, size=b)))
+            net = md.SInMTNetwork(mode, n_speakers=N_SPEAKERS, seed=0)
+            infer = net.forward(batch.waveforms)
+            arrays[f"{case}/infer/spoof_logits"] = infer.spoof_logits.data
+            arrays[f"{case}/infer/spoof_embedding"] = \
+                infer.spoof_embedding.data
+            if infer.speaker_logits is not None:
+                arrays[f"{case}/infer/speaker_logits"] = \
+                    infer.speaker_logits.data
+            config = tr.TrainConfig(mode=mode, alpha=0.1,
+                                    fold_alpha_into_lambda=mode == "ivspk")
+            opt = ad.OptimizerState.adam(net.params, lr=config.learning_rate)
+            for step in range(STEPS):
+                step_grads.clear()
+                losses = tr.train_step(net, batch, config, opt)
+                prefix = f"{case}/step{step}"
+                for key, value in losses.items():
+                    arrays[f"{prefix}/loss/{key}"] = np.array(value)
+                for name, g in step_grads.items():
+                    arrays[f"{prefix}/grad/{name}"] = g
+                    arrays[f"{prefix}/grad_strides/{name}"] = \
+                        np.array(g.strides)
+                for name, p in net.params.items():
+                    arrays[f"{prefix}/param/{name}"] = p.data
+    np.savez(out, **arrays)
+
+
+def run_side(src: Path, threads: int, out: Path) -> dict:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads))
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+            f"import step_fingerprint as s; "
+            f"s.record({str(src)!r}, {str(out)!r})")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    with np.load(out) as data:
+        return {k: data[k] for k in data.files}
+
+
+def differing(parent: dict, change: dict) -> list:
+    """Keys whose arrays differ in shape, dtype or any bit, or that only
+    one side recorded."""
+    bad = sorted(set(parent) ^ set(change))
+    for key in sorted(set(parent) & set(change)):
+        a, b = parent[key], change[key]
+        if (a.shape != b.shape or a.dtype != b.dtype
+                or a.tobytes() != b.tobytes()):
+            bad.append(key)
+    return bad
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    sources = [Path(a).resolve() for a in argv]
+    for src in sources:
+        if not (src / "sinmt" / "__init__.py").is_file():
+            print(f"no sinmt package under {src}", file=sys.stderr)
+            return 2
+    total_bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for threads in THREADS:
+            parent, change = (
+                run_side(src, threads, Path(tmp) / f"{side}{threads}.npz")
+                for side, src in zip(("parent", "change"), sources))
+            bad = differing(parent, change)
+            for key in bad:
+                print(f"threads={threads} differs: {key}")
+            print(f"threads={threads}: {len(bad)} of "
+                  f"{len(set(parent) | set(change))} arrays differ")
+            total_bad += len(bad)
+    return 1 if total_bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

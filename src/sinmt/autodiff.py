@@ -4,7 +4,8 @@ Everything is dense float64. A ``Tensor`` wraps a numpy array; while a
 ``Tape`` is active, every primitive applied to a tensor that requires
 gradients appends one node to the tape. ``Tape.backward`` walks the nodes
 in reverse construction order (which is a valid topological order) and
-accumulates vector-Jacobian products into a per-node gradient map.
+accumulates vector-Jacobian products into a per-node gradient map; only
+the leaves' gradients outlive the sweep.
 
 The module also carries the training-side update rules (plain gradient
 descent and Adam), the gradient-reversal primitive used for adversarial
@@ -136,11 +137,12 @@ class Tape:
         return out
 
     def backward(self, loss: Tensor) -> dict[int, Array]:
-        """Accumulate d(loss)/d(node) for every node reachable from ``loss``.
+        """Accumulate d(loss)/d(leaf) for every leaf reachable from ``loss``.
 
-        The loss must be a scalar recorded on this tape. Returns the
-        node-id -> gradient map (also kept in ``self.gradients``); the tape
-        is finalized afterwards and cannot record further operations.
+        The loss must be a scalar recorded on this tape; an op node's
+        gradient is freed once its ``backward_fn`` has used it. Returns
+        the leaves' node-id -> gradient map (also ``self.gradients``);
+        the tape is then finalized and cannot record further operations.
         """
         if not self._nodes:
             raise ValueError("backward on an empty tape")
@@ -148,31 +150,32 @@ class Tape:
             raise ValueError("loss tensor was not recorded on this tape")
         if loss.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
-        grads: dict[int, Array] = {
-            loss.node_id: np.ones_like(loss.data)
-        }
+        grads = {loss.node_id: np.ones_like(loss.data)}
         for node_id in range(loss.node_id, -1, -1):
-            g = grads.get(node_id)
-            if g is None:
-                continue
             node = self._nodes[node_id]
             if node.backward_fn is None:
+                continue  # a leaf keeps its gradient
+            g = grads.pop(node_id, None)
+            if g is None:
                 continue
             input_grads = node.backward_fn(g)
             for in_id, in_g in zip(node.input_ids, input_grads):
                 if in_id is None or in_g is None:
                     continue
-                if in_id in grads:
-                    grads[in_id] = grads[in_id] + in_g
-                else:
-                    grads[in_id] = in_g
+                grads[in_id] = grads[in_id] + in_g if in_id in grads else in_g
         self.gradients = grads
         self._finalized = True
         return grads
 
     def grad(self, t: Tensor) -> Array:
-        """Gradient for ``t`` after backward; zeros if ``t`` was unreachable."""
+        """Gradient for the leaf ``t`` after backward; zeros if ``t`` was
+        unreachable. ValueError for an op's output, whose gradient
+        ``backward`` has freed."""
         if t.tape is self and t.node_id is not None:
+            node = self._nodes[t.node_id]
+            if node.backward_fn is not None:
+                raise ValueError(f"{node.op!r} output: only leaves keep "
+                                 f"their gradient after backward")
             g = self.gradients.get(t.node_id)
             if g is not None:
                 return g

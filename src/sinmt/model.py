@@ -3,16 +3,16 @@
 The network mirrors the shape of a self-supervised speech stack at desk
 scale: a strided 1-D conv frontend produces frame vectors, a small
 pre-norm transformer refines them, and every layer's output (conv plus
-each transformer layer) is kept so the pooling heads can mix layers.
+each transformer layer) is stacked so the pooling heads can mix layers.
 
 Each head pools frames with multi-head factorized attention: two learned
 softmax-normalized vectors mix the layer stack into a key stream and a
 value stream, linear maps compress them, per-head attention weights over
 time pool the values, and the concatenated head outputs feed a linear
 embedding and classifier. The spoofing head and the speaker head are
-structurally identical apart from class count; the speaker branch passes
-through a gradient-reversal layer so its loss can either sharpen or
-suppress speaker identity in the shared features.
+structurally identical apart from class count; the speaker head reads
+the stack through one gradient-reversal layer so its loss can either
+sharpen or suppress speaker identity in the shared features.
 """
 
 from __future__ import annotations
@@ -120,7 +120,6 @@ class ForwardOutput:
     spoof_logits: ad.Tensor
     spoof_embedding: ad.Tensor
     speaker_logits: ad.Tensor | None = None
-    speaker_embedding: ad.Tensor | None = None
 
 
 def sinusoidal_positions(n_frames: int, dim: int) -> np.ndarray:
@@ -134,28 +133,26 @@ def sinusoidal_positions(n_frames: int, dim: int) -> np.ndarray:
     return pe
 
 
-def mhfa_pool(layers, params: ad.ParameterSet, prefix: str):
-    """Pool a layer stack (a list of (B, T, D) tensors, as ``encode``
-    returns) into (embedding, logits) for one head.
+def mhfa_pool(stack: ad.Tensor, params: ad.ParameterSet, prefix: str):
+    """Pool a (L, B, T, D) layer stack, as ``encode`` returns it, into
+    (embedding, logits) for one head.
 
     Parameter names under ``prefix``: layer_mix_k/layer_mix_v (length
-    L+1), key_proj (D, d_k), value_proj (D, d_v), head_queries (d_k, H),
+    L), key_proj (D, d_k), value_proj (D, d_v), head_queries (d_k, H),
     embed_proj (H*d_v, d_e), cls_w (d_e, C), cls_b (C,).
     """
-    n_layers = len(layers)
+    n_layers, B, _, _ = stack.shape
     mix_k = params[f"{prefix}.layer_mix_k"]
     mix_v = params[f"{prefix}.layer_mix_v"]
     if mix_k.shape[0] != n_layers:
         raise ValueError(
             f"{prefix}: stack has {n_layers} layers but layer weights "
             f"expect {mix_k.shape[0]}")
-    B, T, D = layers[0].shape
 
-    stacked = ad.concat([ad.reshape(l, (1, B, T, D)) for l in layers], axis=0)
     wk = ad.reshape(ad.softmax(mix_k, axis=0), (n_layers, 1, 1, 1))
     wv = ad.reshape(ad.softmax(mix_v, axis=0), (n_layers, 1, 1, 1))
-    keys = ad.reduce_sum(ad.mul(stacked, wk), axis=0)
-    values = ad.reduce_sum(ad.mul(stacked, wv), axis=0)
+    keys = ad.reduce_sum(ad.mul(stack, wk), axis=0)
+    values = ad.reduce_sum(ad.mul(stack, wv), axis=0)
 
     keys_c = ad.matmul(keys, params[f"{prefix}.key_proj"])
     values_c = ad.matmul(values, params[f"{prefix}.value_proj"])
@@ -267,13 +264,13 @@ class SInMTNetwork:
 
     # -- forward ------------------------------------------------------
 
-    def encode(self, waveforms) -> list:
+    def encode(self, waveforms) -> ad.Tensor:
         """Run the conv + transformer stack on a (B, N) waveform batch.
 
-        Returns every layer's (B, T, model_dim) output, conv first, then
-        transformer layers 1..L; T equals N successively floor-divided
-        by each conv stride (each conv right-pads with zeros just enough
-        to emit exactly floor(T_in/stride) frames).
+        Returns the (L, B, T, model_dim) stack of every layer's output,
+        conv first, then each transformer layer; T equals N successively
+        floor-divided by each conv stride (each conv right-pads with
+        zeros just enough to emit exactly floor(T_in/stride) frames).
         """
         w = np.asarray(waveforms, dtype=np.float64)
         if w.ndim == 1:
@@ -323,7 +320,8 @@ class SInMTNetwork:
         for li in range(cfg.n_transformer_layers):
             h = self._transformer_layer(h, li)
             layers.append(h)
-        return layers
+        return ad.concat([ad.reshape(l, (1, B, T, D)) for l in layers],
+                         axis=0)
 
     def _transformer_layer(self, x: ad.Tensor, li: int) -> ad.Tensor:
         p = self.params
@@ -353,28 +351,27 @@ class SInMTNetwork:
                          p[f"{pfx}.ffn.b2"])
         return ad.add(x, ffn_out)
 
-    def forward(self, waveforms, apply_grl: bool = True) -> ForwardOutput:
+    def forward(self, waveforms, grl_scale=None) -> ForwardOutput:
         """Spoof logits always; speaker logits unless baseline mode.
 
-        The speaker branch sees every stack layer through the reversal
-        layer; the spoof branch never does. ``apply_grl=False`` is a
-        testing hook that routes the speaker head around the reversal.
+        The speaker head reads the layer stack through one reversal
+        layer of scale ``grl_scale`` (None means ``self.grl_scale``);
+        the spoof head reads it directly.
         """
         stack = self.encode(waveforms)
+        spk_logits = None
+        if self.mode != MODE_BASELINE:
+            # Record the reversal before the spoof head: the reverse
+            # sweep then adds the spoof head's gradient to the stack
+            # before the reversed speaker part, the float sums one stack
+            # per head gave. The other order changes the gradient bits.
+            branch = ad.gradient_reversal(
+                stack, self.grl_scale if grl_scale is None else grl_scale)
+            _, spk_logits = mhfa_pool(branch, self.params, "speaker_head")
         spoof_emb, spoof_logits = mhfa_pool(stack, self.params, "spoof_head")
-        if self.mode == MODE_BASELINE:
-            return ForwardOutput(spoof_logits=spoof_logits,
-                                 spoof_embedding=spoof_emb)
-        if apply_grl:
-            branch = [ad.gradient_reversal(l, self.grl_scale)
-                      for l in stack]
-        else:
-            branch = stack
-        spk_emb, spk_logits = mhfa_pool(branch, self.params, "speaker_head")
         return ForwardOutput(spoof_logits=spoof_logits,
                              spoof_embedding=spoof_emb,
-                             speaker_logits=spk_logits,
-                             speaker_embedding=spk_emb)
+                             speaker_logits=spk_logits)
 
 
 # ---------------------------------------------------------------------------
@@ -434,28 +431,20 @@ def read_checkpoint(path):
             raise ValueError("truncated checkpoint manifest")
         manifest = json.loads(mraw.decode("utf-8"))
         blob = f.read()
+    if not isinstance(manifest, dict):
+        raise ValueError("malformed checkpoint: manifest is not a JSON object")
     values = {}
-    for e in manifest["params"]:
-        raw = blob[e["offset"]:e["offset"] + e["nbytes"]]
-        if len(raw) != e["nbytes"]:
-            raise ValueError(
-                f"truncated checkpoint blob at parameter {e['name']}")
-        values[e["name"]] = np.frombuffer(raw, dtype="<f8").reshape(
-            e["shape"]).copy()
+    try:
+        for e in manifest["params"]:
+            raw = blob[e["offset"]:e["offset"] + e["nbytes"]]
+            if len(raw) != e["nbytes"]:
+                raise ValueError(
+                    f"truncated checkpoint blob at parameter {e['name']}")
+            values[e["name"]] = np.frombuffer(raw, dtype="<f8").reshape(
+                e["shape"]).copy()
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed checkpoint manifest: {exc!r}") from exc
     return manifest, values
-
-
-def _network_from_manifest(manifest, mode: str, grl_scale: float
-                           ) -> SInMTNetwork:
-    enc = EncoderConfig(**manifest["encoder"])
-    enc.conv_layers = [tuple(l) for l in enc.conv_layers]
-    return SInMTNetwork(
-        mode=mode,
-        n_speakers=manifest["n_speakers"],
-        encoder=enc,
-        head=MHFAConfig(**manifest["head"]),
-        grl_scale=grl_scale,
-        seed=manifest.get("seed", 0))
 
 
 def load_checkpoint(path, mode: str | None = None) -> SInMTNetwork:
@@ -470,9 +459,15 @@ def load_checkpoint(path, mode: str | None = None) -> SInMTNetwork:
     not use (such as an older ``speaker_loss_weight``) are ignored.
     """
     manifest, values = read_checkpoint(path)
-    stored = manifest["mode"]
+    try:
+        stored, grl_scale = manifest["mode"], manifest["grl_scale"]
+        enc = EncoderConfig(**manifest["encoder"])
+        enc.conv_layers = [tuple(l) for l in enc.conv_layers]
+        head = MHFAConfig(**manifest["head"])
+        n_speakers = manifest["n_speakers"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed checkpoint manifest: {exc!r}") from exc
     target = mode or stored
-    grl_scale = manifest["grl_scale"]
     if target != stored:
         if stored != MODE_BASELINE and (stored, target) != (
                 MODE_SPEAKER_AWARE, MODE_SPEAKER_INVARIANT):
@@ -481,7 +476,9 @@ def load_checkpoint(path, mode: str | None = None) -> SInMTNetwork:
                 f"supported flips: 'spk' -> 'ivspk', "
                 f"'baseline' -> 'spk' or 'ivspk'")
         grl_scale = resolve_grl(target)
-    net = _network_from_manifest(manifest, target, grl_scale)
+    net = SInMTNetwork(mode=target, n_speakers=n_speakers, encoder=enc,
+                       head=head, grl_scale=grl_scale,
+                       seed=manifest.get("seed", 0))
     if stored == MODE_BASELINE and target != MODE_BASELINE:
         merged = net.params.state()
         merged.update(values)

@@ -587,7 +587,10 @@ def read_manifest(path) -> CorpusManifest:
                 "n_samples", "sample_rate", "attacks"):
         if key not in header:
             raise ValueError(f"manifest missing header field {key!r}")
-    attacks = [AttackSpec(**d) for d in json.loads(header["attacks"])]
+    try:
+        attacks = [AttackSpec(**d) for d in json.loads(header["attacks"])]
+    except TypeError as exc:
+        raise ValueError(f"bad manifest header 'attacks': {exc}") from exc
     return CorpusManifest(
         seed=int(header["seed"]),
         n_speakers=int(header["n_speakers"]),

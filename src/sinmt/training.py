@@ -194,26 +194,21 @@ def train_step(network: SInMTNetwork, batch: Batch, config: TrainConfig,
 
     fold = config.fold_alpha_into_lambda and network.mode != MODE_BASELINE
     alpha_used = 1.0 if fold else config.alpha
-    saved_grl = network.grl_scale
-    if fold:
-        network.grl_scale = saved_grl * config.alpha
-    try:
-        with ad.Tape() as tape:
-            out = network.forward(batch.waveforms)
-            total, loss_s, loss_d = combined_loss(
-                out.spoof_logits, out.speaker_logits, batch.spoof_labels,
-                batch.speaker_labels, alpha_used, spoof_weights,
-                speaker_weights)
-            value = total.item()
-            if not np.isfinite(value):
-                raise ad.NumericsError(
-                    f"non-finite training loss: {value!r} "
-                    f"(spoof {loss_s.item()!r}, speaker "
-                    f"{loss_d.item() if loss_d is not None else None!r})")
-            tape.backward(total)
-            grads = network.params.collect_grads(tape)
-    finally:
-        network.grl_scale = saved_grl
+    grl_scale = network.grl_scale * config.alpha if fold else None
+    with ad.Tape() as tape:
+        out = network.forward(batch.waveforms, grl_scale)
+        total, loss_s, loss_d = combined_loss(
+            out.spoof_logits, out.speaker_logits, batch.spoof_labels,
+            batch.speaker_labels, alpha_used, spoof_weights,
+            speaker_weights)
+        value = total.item()
+        if not np.isfinite(value):
+            raise ad.NumericsError(
+                f"non-finite training loss: {value!r} "
+                f"(spoof {loss_s.item()!r}, speaker "
+                f"{loss_d.item() if loss_d is not None else None!r})")
+        tape.backward(total)
+        grads = network.params.collect_grads(tape)
 
     for name, g in grads.items():
         if not np.isfinite(g).all():

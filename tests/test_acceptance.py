@@ -67,9 +67,10 @@ def test_criterion_2_full_network_gradient_check():
 
     # The reversal layer makes the training step follow the gradient of
     # Ls - lambda*alpha*Ld on the extractor; finite differences compare
-    # against exactly that composite objective with no reversal applied.
+    # against exactly that composite objective with the reversal layer a
+    # pass-through (scale -1 multiplies gradients by 1.0).
     def flipped_closure():
-        out = net.forward(waves, apply_grl=False)
+        out = net.forward(waves, grl_scale=-1.0)
         ls = tr.weighted_cross_entropy(out.spoof_logits, spoof_labels,
                                        weights2)
         ld = tr.weighted_cross_entropy(out.speaker_logits, speaker_labels,
@@ -102,15 +103,16 @@ def _fresh_tiny(mode, seed, lam):
 
 
 def _two_backward_grads(net, batch, alpha):
-    """Oracle: separate backward passes for each loss, no reversal."""
+    """Oracle: separate backward passes for each loss, with the reversal
+    layer a pass-through (scale -1)."""
     with ad.Tape() as t1:
-        out = net.forward(batch.waveforms, apply_grl=False)
+        out = net.forward(batch.waveforms, grl_scale=-1.0)
         ls = tr.weighted_cross_entropy(out.spoof_logits, batch.spoof_labels,
                                        np.ones(2))
     t1.backward(ls)
     gs = net.params.collect_grads(t1)
     with ad.Tape() as t2:
-        out = net.forward(batch.waveforms, apply_grl=False)
+        out = net.forward(batch.waveforms, grl_scale=-1.0)
         ld = tr.weighted_cross_entropy(out.speaker_logits,
                                        batch.speaker_labels, np.ones(4))
     t2.backward(ld)
@@ -164,7 +166,7 @@ def test_criterion_3_update_rule_conformance():
     tr.train_step(stepped, batch, cfg, ad.OptimizerState.sgd(lr=mu),
                   spoof_weights=np.ones(2), speaker_weights=np.ones(4))
     with ad.Tape() as tape:
-        out = plain.forward(batch.waveforms, apply_grl=False)
+        out = plain.forward(batch.waveforms, grl_scale=-1.0)
         ls = tr.weighted_cross_entropy(out.spoof_logits, batch.spoof_labels,
                                        np.ones(2))
         ld = tr.weighted_cross_entropy(out.speaker_logits,

@@ -199,7 +199,9 @@ class TestAttention:
         B = 11 splits 4/4/3. Inputs and the upstream gradient are
         head-split views, as in the encoder, and k's gradient must keep
         the unfused chain's memory layout, because a broadcast sum over
-        it adds in that order."""
+        it adds in that order. Each leaf's gradient is a transposed view
+        of its head-split tensor's, so comparing the leaves compares
+        those layouts."""
         H, T, d = 4, 250, 8
         rng = np.random.default_rng(batch)
         leaves = [ad.Tensor(rng.normal(size=(batch, T, H, d)),
@@ -213,7 +215,7 @@ class TestAttention:
                 loss = ad.reduce_sum(
                     ad.mul(ad.transpose(out, (0, 2, 1, 3)), proj))
             tape.backward(loss)
-            results.append((out.data, [tape.grad(t) for t in (q, k, v)]))
+            results.append((out.data, [tape.grad(t) for t in leaves]))
         (fused, fused_grads), (chain, chain_grads) = results
         assert np.array_equal(fused, chain)
         for name, a, b in zip("qkv", fused_grads, chain_grads):
@@ -256,6 +258,19 @@ class TestBackward:
             loss = ad.reduce_sum(ad.add(ad.mul(x, x), x))
         tape.backward(loss)
         np.testing.assert_allclose(tape.grad(x), 2.0 * x.data + 1.0, rtol=1e-14)
+
+    def test_only_leaf_gradients_outlive_backward(self):
+        x = ad.Tensor([1.5, -2.0], requires_grad=True)
+        with ad.Tape() as tape:
+            y = ad.mul(x, x)
+            loss = ad.reduce_sum(ad.add(y, x))
+        grads = tape.backward(loss)
+        assert set(grads) == {x.node_id}
+        np.testing.assert_allclose(tape.grad(x), 2.0 * x.data + 1.0,
+                                   rtol=1e-14)
+        for t in (y, loss):
+            with pytest.raises(ValueError, match="only leaves"):
+                tape.grad(t)
 
     def test_non_scalar_loss_rejected(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)

@@ -15,6 +15,7 @@ import pytest
 from sinmt import cli
 from sinmt import config as cf
 from sinmt import evaluation as ev
+from sinmt import model as md
 from sinmt import synthdata as sd
 from sinmt import training as tr
 
@@ -258,6 +259,29 @@ class TestEval:
         assert f"batch_size must be at least 1, got {batch_size}" in \
             capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_malformed_checkpoint_manifest_exits_2(self, cli_corpus,
+                                                   tmp_path, capsys):
+        ckpt = tmp_path / "list.ckpt"
+        ckpt.write_bytes(f"{md.CHECKPOINT_VERSION}\n2\n[]".encode())
+        code = cli.main(["eval", "--ckpt", str(ckpt),
+                         "--corpus", str(cli_corpus),
+                         "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "not a JSON object" in capsys.readouterr().err
+
+    def test_unknown_attack_key_in_corpus_exits_2(self, cli_corpus,
+                                                  trained_run, tmp_path,
+                                                  capsys):
+        text = (cli_corpus / "manifest.tsv").read_text()
+        bad = tmp_path / "corpus"
+        bad.mkdir()
+        (bad / "manifest.tsv").write_text(
+            text.replace('"params":', '"parms":', 1))
+        code = cli.main(["eval", "--ckpt", str(trained_run / "best.ckpt"),
+                         "--corpus", str(bad), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "'attacks'" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, cli_corpus, tmp_path):
         code = cli.main(["eval", "--ckpt", str(tmp_path / "no.ckpt"),

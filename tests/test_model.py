@@ -32,6 +32,16 @@ def tiny_net(mode="ivspk", n_speakers=3, seed=0, **kw):
                           seed=seed, **kw)
 
 
+def rewrite_manifest(path, edit):
+    """Replace a saved checkpoint's JSON manifest with ``edit(manifest)``,
+    keeping its parameter blob."""
+    version, mlen, rest = path.read_bytes().split(b"\n", 2)
+    manifest = edit(json.loads(rest[:int(mlen)]))
+    mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    path.write_bytes(version + b"\n" + str(len(mbytes)).encode() + b"\n"
+                     + mbytes + rest[int(mlen):])
+
+
 def ce_loss(logits, onehot):
     logp = ad.log_softmax(logits, axis=-1)
     return ad.scale(ad.reduce_sum(ad.mul(logp, ad.Tensor(onehot))),
@@ -59,16 +69,14 @@ class TestEncode:
         net = m.SInMTNetwork(mode="baseline", seed=0)
         w = np.random.default_rng(0).normal(size=(2, 4000)) * 0.1
         stack = net.encode(w)
-        assert len(stack) == 3
-        for layer in stack:
-            assert layer.shape == (2, 250, 32)
+        assert stack.shape == (3, 2, 250, 32)
 
     def test_double_length_doubles_frames(self):
         net = m.SInMTNetwork(mode="baseline",
                              encoder=m.EncoderConfig(max_frames=512), seed=0)
         w = np.random.default_rng(1).normal(size=(1, 8000)) * 0.1
         stack = net.encode(w)
-        assert stack[0].shape == (1, 500, 32)
+        assert stack.shape[1:] == (1, 500, 32)
 
     def test_too_short_input_names_minimum(self):
         net = m.SInMTNetwork(mode="baseline", seed=0)
@@ -78,10 +86,7 @@ class TestEncode:
     def test_encode_deterministic(self):
         net = tiny_net("baseline")
         w = np.random.default_rng(2).normal(size=(2, 64))
-        s1 = net.encode(w)
-        s2 = net.encode(w)
-        for a, b in zip(s1, s2):
-            np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(net.encode(w).data, net.encode(w).data)
 
     def test_frame_budget_guard(self):
         cfg = m.EncoderConfig(max_frames=100)
@@ -92,9 +97,7 @@ class TestEncode:
     def test_all_finite_on_finite_input(self):
         net = tiny_net("baseline")
         w = np.random.default_rng(3).normal(size=(3, 80))
-        stack = net.encode(w)
-        for layer in stack:
-            assert np.all(np.isfinite(layer.data))
+        assert np.all(np.isfinite(net.encode(w).data))
 
 
 class TestMhfaPool:
@@ -110,8 +113,8 @@ class TestMhfaPool:
         ps.add("spoof_head.cls_w", np.array([[1.0, -1.0]]), "spoof_head")
         ps.add("spoof_head.cls_b", np.array([0.1, -0.2]), "spoof_head")
 
-        layer = ad.Tensor(np.array([[[1.0], [2.0]]]))  # (B=1, T=2, D=1)
-        emb, logits = m.mhfa_pool([layer], ps, "spoof_head")
+        stack = ad.Tensor(np.array([[[[1.0], [2.0]]]]))  # L=B=1, T=2, D=1
+        emb, logits = m.mhfa_pool(stack, ps, "spoof_head")
 
         # keys [2, 4] -> attention logits [1, 2] -> weights [1, e]/(1+e)
         e = math.exp(1.0)
@@ -130,8 +133,7 @@ class TestMhfaPool:
         stack = net.encode(w)
         emb, _ = m.mhfa_pool(stack, net.params, "spoof_head")
 
-        n_layers = len(stack)
-        mean_layers = sum(l.data for l in stack) / n_layers
+        mean_layers = stack.data.sum(axis=0) / stack.shape[0]
         v = mean_layers @ net.params["spoof_head.value_proj"].data
         pooled = v.mean(axis=1)  # uniform attention = time mean
         flat = np.concatenate([pooled] * net.head_config.n_heads, axis=1)
@@ -151,7 +153,7 @@ class TestMhfaPool:
         w = np.random.default_rng(9).normal(size=(1, 64))
         stack = net.encode(w)
         with pytest.raises(ValueError, match="layer"):
-            m.mhfa_pool(stack[:1], net.params, "spoof_head")
+            m.mhfa_pool(ad.Tensor(stack.data[:1]), net.params, "spoof_head")
 
 
 class TestNetworkContract:
@@ -204,9 +206,9 @@ class TestNetworkContract:
 
 
 class TestGradientPaths:
-    def _speaker_grads(self, net, w, yd, apply_grl):
+    def _speaker_grads(self, net, w, yd, grl_scale=None):
         with ad.Tape() as tape:
-            out = net.forward(w, apply_grl=apply_grl)
+            out = net.forward(w, grl_scale)
             loss = ce_loss(out.speaker_logits, yd)
         tape.backward(loss)
         return net.params.collect_grads(tape)
@@ -216,8 +218,8 @@ class TestGradientPaths:
         rng = np.random.default_rng(22)
         w = rng.normal(size=(4, 64)) * 0.3
         yd = np.eye(3)[rng.integers(0, 3, size=4)]
-        with_grl = self._speaker_grads(net, w, yd, apply_grl=True)
-        without = self._speaker_grads(net, w, yd, apply_grl=False)
+        with_grl = self._speaker_grads(net, w, yd)
+        without = self._speaker_grads(net, w, yd, grl_scale=-1.0)
         for name in net.params.group_names("extractor"):
             np.testing.assert_allclose(with_grl[name], -without[name],
                                        atol=1e-12, err_msg=name)
@@ -227,11 +229,11 @@ class TestGradientPaths:
 
     def test_zero_scale_blocks_extractor_but_not_head(self):
         net = tiny_net("ivspk", n_speakers=3, seed=23)
-        net.grl_scale = 0.0  # white-box: bypasses the mode invariant
         rng = np.random.default_rng(24)
         w = rng.normal(size=(3, 64)) * 0.3
         yd = np.eye(3)[rng.integers(0, 3, size=3)]
-        grads = self._speaker_grads(net, w, yd, apply_grl=True)
+        grads = self._speaker_grads(net, w, yd, grl_scale=0.0)
+        assert net.grl_scale == 1.0
         for name in net.params.group_names("extractor"):
             np.testing.assert_array_equal(grads[name],
                                           np.zeros_like(grads[name]))
@@ -239,12 +241,20 @@ class TestGradientPaths:
                         for n in net.params.group_names("speaker_head"))
         assert head_norm > 0.0
 
+    @pytest.mark.parametrize("mode, n_grl", [("baseline", 0), ("spk", 1),
+                                             ("ivspk", 1)])
+    def test_one_reversal_node_per_forward(self, mode, n_grl):
+        net = tiny_net(mode)
+        with ad.Tape() as tape:
+            net.forward(np.random.default_rng(29).normal(size=(2, 64)))
+        assert sum(node.op == "grl" for node in tape._nodes) == n_grl
+
     def test_spoof_head_untouched_by_speaker_loss(self):
         net = tiny_net("ivspk", n_speakers=3, seed=25)
         rng = np.random.default_rng(26)
         w = rng.normal(size=(3, 64)) * 0.3
         yd = np.eye(3)[rng.integers(0, 3, size=3)]
-        grads = self._speaker_grads(net, w, yd, apply_grl=True)
+        grads = self._speaker_grads(net, w, yd)
         for name in net.params.group_names("spoof_head"):
             np.testing.assert_array_equal(grads[name],
                                           np.zeros_like(grads[name]))
@@ -262,12 +272,12 @@ class TestGradientPaths:
         yd = np.eye(3)[rng.integers(0, 3, size=2)]
 
         def reversal_closure():
-            out = net.forward(w, apply_grl=True)
+            out = net.forward(w)
             return ad.add(ce_loss(out.spoof_logits, ys),
                           ad.scale(ce_loss(out.speaker_logits, yd), alpha))
 
         def flipped_closure():
-            out = net.forward(w, apply_grl=False)
+            out = net.forward(w, grl_scale=-1.0)
             return ad.add(ce_loss(out.spoof_logits, ys),
                           ad.scale(ce_loss(out.speaker_logits, yd),
                                    -lam * alpha))
@@ -314,12 +324,7 @@ class TestCheckpoints:
         net = tiny_net("spk", n_speakers=4, seed=38)
         path = tmp_path / "legacy.ckpt"
         m.save_checkpoint(net, path)
-        version, mlen, rest = path.read_bytes().split(b"\n", 2)
-        manifest = json.loads(rest[:int(mlen)])
-        manifest["speaker_loss_weight"] = 0.1
-        mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
-        path.write_bytes(version + b"\n" + str(len(mbytes)).encode() + b"\n"
-                         + mbytes + rest[int(mlen):])
+        rewrite_manifest(path, lambda d: {**d, "speaker_loss_weight": 0.1})
         assert "speaker_loss_weight" in m.read_checkpoint(path)[0]
 
         loaded = m.load_checkpoint(path)
@@ -398,6 +403,22 @@ class TestCheckpoints:
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
         with pytest.raises(ValueError, match="truncated"):
+            m.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda d: {k: v for k, v in d.items() if k != "mode"}, "'mode'"),
+        (lambda d: {k: v for k, v in d.items() if k != "params"},
+         "'params'"),
+        (lambda d: [d], "not a JSON object"),
+        (lambda d: {**d, "encoder": {**d["encoder"], "ffn_dims": 16}},
+         "ffn_dims"),
+    ], ids=["no-mode", "no-params", "list", "unknown-encoder-key"])
+    def test_malformed_manifest_is_a_value_error(self, tmp_path, edit,
+                                                 fault):
+        path = tmp_path / "bad.ckpt"
+        m.save_checkpoint(tiny_net("spk", seed=39), path)
+        rewrite_manifest(path, edit)
+        with pytest.raises(ValueError, match=fault):
             m.load_checkpoint(path)
 
     def test_non_finite_parameters_refused(self, tmp_path):

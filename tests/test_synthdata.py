@@ -391,6 +391,17 @@ class TestManifestIO:
         with pytest.raises(ValueError, match="label"):
             sd.read_manifest(bad)
 
+    def test_unknown_attack_key_names_the_header(self, corpus_dir,
+                                                 tmp_path):
+        text = (corpus_dir / "manifest.tsv").read_text()
+        bad_text = text.replace('"params":', '"parms":', 1)
+        assert bad_text != text
+        bad = tmp_path / "parms"
+        bad.mkdir()
+        (bad / "manifest.tsv").write_text(bad_text)
+        with pytest.raises(ValueError, match="'attacks'.*parms"):
+            sd.read_manifest(bad)
+
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             sd.read_manifest(tmp_path / "nowhere")

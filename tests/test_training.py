@@ -189,16 +189,16 @@ def tiny_batch(seed=11, n=4, length=200, n_speakers=4):
 
 
 def two_backward_gradients(network, batch, alpha):
-    """∂Ls/∂θ and ∂Ld/∂θ measured on separate tapes, reversal layer
-    routed around (apply_grl=False)."""
+    """∂Ls/∂θ and ∂Ld/∂θ measured on separate tapes, reversal layer a
+    pass-through (grl_scale=-1.0 multiplies gradients by 1.0)."""
     with ad.Tape() as tape_s:
-        out = network.forward(batch.waveforms, apply_grl=False)
+        out = network.forward(batch.waveforms, grl_scale=-1.0)
         ls = tr.weighted_cross_entropy(out.spoof_logits,
                                        batch.spoof_labels, np.ones(2))
         tape_s.backward(ls)
         g_s = network.params.collect_grads(tape_s)
     with ad.Tape() as tape_d:
-        out = network.forward(batch.waveforms, apply_grl=False)
+        out = network.forward(batch.waveforms, grl_scale=-1.0)
         ld = tr.weighted_cross_entropy(
             out.speaker_logits, batch.speaker_labels,
             np.ones(network.n_speakers))
@@ -257,7 +257,7 @@ class TestTrainStep:
                 want = -mu * g_d[name]
             np.testing.assert_allclose(after[name] - before[name], want,
                                        atol=1e-12, rtol=0, err_msg=name)
-        assert net.grl_scale == 1.0  # restored after the step
+        assert net.grl_scale == 1.0  # the step folds α per call only
 
     def test_cooperative_mode_equals_plain_multitask(self):
         """λ=−1 makes the reversal a pass-through scale, so the step
@@ -273,7 +273,7 @@ class TestTrainStep:
                       np.ones(net_a.n_speakers))
 
         with ad.Tape() as tape:
-            out = net_b.forward(batch.waveforms, apply_grl=False)
+            out = net_b.forward(batch.waveforms, grl_scale=-1.0)
             total, _, _ = tr.combined_loss(
                 out.spoof_logits, out.speaker_logits, batch.spoof_labels,
                 batch.speaker_labels, alpha)
