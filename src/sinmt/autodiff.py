@@ -5,7 +5,10 @@ Everything is dense float64. A ``Tensor`` wraps a numpy array; while a
 gradients appends one node to the tape. ``Tape.backward`` walks the nodes
 in reverse construction order (which is a valid topological order) and
 accumulates vector-Jacobian products into a per-node gradient map; only
-the leaves' gradients outlive the sweep.
+the leaves' gradients outlive the sweep. Each node's backward function
+runs at most once: the sweep drops it, with the forward values it
+captured, as it passes the node, so the backward pass reuses their
+memory instead of adding to it.
 
 The module also carries the training-side update rules (plain gradient
 descent and Adam), the gradient-reversal primitive used for adversarial
@@ -139,7 +142,10 @@ class Tape:
     def backward(self, loss: Tensor) -> dict[int, Array]:
         """Accumulate d(loss)/d(leaf) for every leaf reachable from ``loss``.
 
-        The loss must be a scalar recorded on this tape; an op node's
+        The loss must be a scalar recorded on this tape. The sweep drops
+        every op node's ``backward_fn`` as it passes the node, after
+        running it once if a gradient reached the node, so the forward
+        values it captured are freed during the sweep; an op node's
         gradient is freed once its ``backward_fn`` has used it. Returns
         the leaves' node-id -> gradient map (also ``self.gradients``);
         the tape is then finalized and cannot record further operations.
@@ -151,15 +157,15 @@ class Tape:
         if loss.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
         grads = {loss.node_id: np.ones_like(loss.data)}
-        for node_id in range(loss.node_id, -1, -1):
+        for node_id in range(len(self._nodes) - 1, -1, -1):
             node = self._nodes[node_id]
-            if node.backward_fn is None:
+            if node.op == "leaf":
                 continue  # a leaf keeps its gradient
+            bwd, node.backward_fn = node.backward_fn, None
             g = grads.pop(node_id, None)
             if g is None:
                 continue
-            input_grads = node.backward_fn(g)
-            for in_id, in_g in zip(node.input_ids, input_grads):
+            for in_id, in_g in zip(node.input_ids, bwd(g)):
                 if in_id is None or in_g is None:
                     continue
                 grads[in_id] = grads[in_id] + in_g if in_id in grads else in_g
@@ -169,11 +175,11 @@ class Tape:
 
     def grad(self, t: Tensor) -> Array:
         """Gradient for the leaf ``t`` after backward; zeros if ``t`` was
-        unreachable. ValueError for an op's output, whose gradient
-        ``backward`` has freed."""
+        unreachable. ValueError for an op's output, whose gradient (like
+        its backward function) ``backward`` has freed."""
         if t.tape is self and t.node_id is not None:
             node = self._nodes[t.node_id]
-            if node.backward_fn is not None:
+            if node.op != "leaf":
                 raise ValueError(f"{node.op!r} output: only leaves keep "
                                  f"their gradient after backward")
             g = self.gradients.get(t.node_id)
@@ -193,7 +199,9 @@ def _emit(op: str, inputs: Sequence[Tensor], out_data: Array,
     """Return the op result, recording a tape node when ``_recording``.
 
     ``bwd`` maps the output gradient to one gradient (or None) per
-    input and must use only values captured at forward time.
+    input and must use only values captured at forward time. It runs
+    at most once, and ``Tape.backward`` frees it, with its captures, as
+    the sweep passes the node.
     """
     if _recording(inputs):
         return _ACTIVE_TAPE._record(op, inputs, out_data, bwd)

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration or usage error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 import warnings
@@ -27,6 +28,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+
+# glibc mallopt parameters (malloc.h) and the values main() sets.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20  # glibc's own ceiling for its dynamic threshold
+_TRIM_THRESHOLD = 1 << 30
 
 
 def _log(message: str) -> None:
@@ -198,7 +205,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_heap_mapped() -> None:
+    """Stop glibc from returning freed heap to the OS between steps.
+
+    ``Tape.backward`` frees each node's forward captures during the
+    sweep, so the heap top is free once a step ends. By default glibc
+    trims it, and the next forward pass faults it back in page by page:
+    about 32k minor faults and 100-140 ms of system time per 32x4000
+    training step (one BLAS thread, 2-core x86-64). With trimming held off and the mmap threshold fixed
+    at its dynamic ceiling, the freed heap stays mapped and is reused.
+    Does nothing without glibc.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap_mapped()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

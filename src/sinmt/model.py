@@ -18,6 +18,7 @@ sharpen or suppress speaker identity in the shared features.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -51,6 +52,15 @@ def resolve_grl(mode: str, grl_scale: float | None = None) -> float:
     return grl
 
 
+def _require_positive_int(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is an integer >= 1
+    (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
+
+
 @dataclass
 class EncoderConfig:
     """Conv frontend + transformer sizing.
@@ -71,13 +81,15 @@ class EncoderConfig:
     def validate(self) -> None:
         if not self.conv_layers:
             raise ValueError("conv_layers must be nonempty")
-        for c, k, s in self.conv_layers:
-            if min(c, k, s) < 1:
-                raise ValueError(f"conv layer dims must be positive: {(c, k, s)}")
+        for i, layer in enumerate(self.conv_layers):
+            if len(layer) != 3:
+                raise ValueError(f"conv_layers[{i}] must be a [channels, "
+                                 f"kernel, stride] triple, got {layer!r}")
+            for part, value in zip(("channels", "kernel", "stride"), layer):
+                _require_positive_int(f"conv_layers[{i}] {part}", value)
         for name in ("model_dim", "n_transformer_layers", "n_attention_heads",
                      "ffn_dim", "max_frames"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            _require_positive_int(name, getattr(self, name))
         if self.model_dim % self.n_attention_heads != 0:
             raise ValueError(
                 f"model_dim {self.model_dim} not divisible by "
@@ -111,8 +123,7 @@ class MHFAConfig:
 
     def validate(self) -> None:
         for name in ("n_heads", "key_dim", "value_dim", "embedding_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            _require_positive_int(name, getattr(self, name))
 
 
 @dataclass
@@ -190,8 +201,7 @@ class SInMTNetwork:
         self.encoder_config.validate()
         self.head_config = head or MHFAConfig()
         self.head_config.validate()
-        if n_speakers < 1:
-            raise ValueError("n_speakers must be positive")
+        _require_positive_int("n_speakers", n_speakers)
         self.n_speakers = int(n_speakers)
         self.seed = int(seed)
 
@@ -467,6 +477,9 @@ def load_checkpoint(path, mode: str | None = None) -> SInMTNetwork:
         n_speakers = manifest["n_speakers"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed checkpoint manifest: {exc!r}") from exc
+    if isinstance(grl_scale, bool) or not isinstance(grl_scale, numbers.Real):
+        raise ValueError(f"checkpoint manifest grl_scale must be a number, "
+                         f"got {grl_scale!r}")
     target = mode or stored
     if target != stored:
         if stored != MODE_BASELINE and (stored, target) != (

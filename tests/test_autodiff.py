@@ -8,6 +8,7 @@ test never supplies its own expected values.
 """
 
 import inspect
+import weakref
 import zlib
 
 import numpy as np
@@ -271,6 +272,46 @@ class TestBackward:
         for t in (y, loss):
             with pytest.raises(ValueError, match="only leaves"):
                 tape.grad(t)
+
+    @staticmethod
+    def capturing_op(t, refs):
+        """Record a node whose backward captures a fresh array, and append
+        a weak reference to that array to ``refs``."""
+        captured = np.full(t.shape, 2.0)
+        refs.append(weakref.ref(captured))
+
+        def bwd(g):
+            return (g * captured,)
+
+        return ad._emit("capturing", (t,), t.data * captured, bwd)
+
+    def test_backward_frees_each_capture_as_the_sweep_passes(self):
+        x = ad.Tensor([1.5, -2.0], requires_grad=True)
+        refs, alive_when_a_ran = [], []
+
+        def bwd_a(g):
+            alive_when_a_ran.append(refs[0]() is not None)
+            return (g,)
+
+        with ad.Tape() as tape:
+            a = ad._emit("a", (x,), x.data.copy(), bwd_a)
+            loss = ad.reduce_sum(self.capturing_op(a, refs))
+        tape.backward(loss)
+        # B (the capturing node) was recorded after A, so the sweep ran
+        # it first and had dropped its capture before A's bwd ran
+        assert alive_when_a_ran == [False]
+        np.testing.assert_array_equal(tape.grad(x), [2.0, 2.0])
+
+    def test_backward_frees_the_captures_of_unreached_nodes(self):
+        x = ad.Tensor([1.5, -2.0], requires_grad=True)
+        refs = []
+        with ad.Tape() as tape:
+            self.capturing_op(x, refs)  # a dead branch before the loss
+            loss = ad.reduce_sum(ad.mul(x, x))
+            self.capturing_op(x, refs)  # recorded after the loss
+        tape.backward(loss)
+        assert [r() for r in refs] == [None, None]
+        np.testing.assert_array_equal(tape.grad(x), 2.0 * x.data)
 
     def test_non_scalar_loss_rejected(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)

@@ -270,6 +270,19 @@ class TestEval:
         assert code == 2
         assert "not a JSON object" in capsys.readouterr().err
 
+    def test_wrongly_typed_checkpoint_value_exits_2(self, cli_corpus,
+                                                   trained_run, tmp_path,
+                                                   capsys):
+        net = md.load_checkpoint(trained_run / "best.ckpt")
+        net.n_speakers = str(net.n_speakers)  # saved as "n_speakers": "4"
+        ckpt = tmp_path / "text.ckpt"
+        md.save_checkpoint(net, ckpt)
+        code = cli.main(["eval", "--ckpt", str(ckpt),
+                         "--corpus", str(cli_corpus),
+                         "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "n_speakers must be an integer" in capsys.readouterr().err
+
     def test_unknown_attack_key_in_corpus_exits_2(self, cli_corpus,
                                                   trained_run, tmp_path,
                                                   capsys):
@@ -340,3 +353,38 @@ class TestUsage:
             capture_output=True, text=True)
         assert proc.returncode == 2
         assert "speekers" in proc.stderr
+
+
+class TestHeapPolicy:
+    class FakeLibc:
+        def __init__(self):
+            self.calls = []
+
+            def mallopt(param, value):
+                self.calls.append((param, value))
+                return 1
+
+            self.mallopt = mallopt  # a function: ctypes sets argtypes on it
+
+    def test_sets_the_mmap_and_trim_thresholds(self, monkeypatch):
+        libc = self.FakeLibc()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        cli._keep_freed_heap_mapped()
+        # glibc's M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1
+        assert libc.calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+    def test_no_glibc_does_nothing(self, monkeypatch):
+        def missing(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", missing)
+        assert cli._keep_freed_heap_mapped() is None
+
+    def test_library_without_mallopt_does_nothing(self, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert cli._keep_freed_heap_mapped() is None
+
+    def test_main_twice_is_harmless(self, capsys):
+        assert cli.main([]) == 2
+        assert cli.main([]) == 2
+        capsys.readouterr()

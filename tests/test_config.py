@@ -80,3 +80,11 @@ def test_conv_layer_that_is_not_a_triple_is_named(tmp_path, layers):
     assert str(exc.value).startswith(
         "model.encoder.conv_layers must be a list of "
         "[channels, kernel, stride] triples")
+
+
+@pytest.mark.parametrize("section, key", [("encoder", "model_dim"),
+                                          ("head", "n_heads")])
+def test_wrongly_typed_model_size_is_named(tmp_path, section, key):
+    doc = {"model": {section: {key: "4"}}}
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        cf.load(write_json(tmp_path / "bad.json", doc))

@@ -412,7 +412,18 @@ class TestCheckpoints:
         (lambda d: [d], "not a JSON object"),
         (lambda d: {**d, "encoder": {**d["encoder"], "ffn_dims": 16}},
          "ffn_dims"),
-    ], ids=["no-mode", "no-params", "list", "unknown-encoder-key"])
+        (lambda d: {**d, "n_speakers": "4"}, "n_speakers must be an integer"),
+        (lambda d: {**d, "encoder": {**d["encoder"], "model_dim": "32"}},
+         "model_dim must be an integer"),
+        (lambda d: {**d, "encoder": {**d["encoder"],
+                                     "conv_layers": [["8", 4, 2], [8, 3, 2]]}},
+         r"conv_layers\[0\] channels must be an integer"),
+        (lambda d: {**d, "head": {**d["head"], "n_heads": "4"}},
+         "n_heads must be an integer"),
+        (lambda d: {**d, "grl_scale": None}, "grl_scale must be a number"),
+    ], ids=["no-mode", "no-params", "list", "unknown-encoder-key",
+            "text-n-speakers", "text-model-dim", "text-conv-channels",
+            "text-n-heads", "null-grl-scale"])
     def test_malformed_manifest_is_a_value_error(self, tmp_path, edit,
                                                  fault):
         path = tmp_path / "bad.ckpt"
