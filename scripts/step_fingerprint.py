@@ -9,10 +9,11 @@ checkout's ``src``). Each side runs in its own subprocess, once with
 
 A run covers baseline, spk and ivspk (α 0.1, folded into λ) at batch
 sizes 11 and 32 and lengths 2000 and 4000 samples. For each it records
-the inference outputs on the batch, then two Adam ``train_step``s: their
-losses, every gradient with its strides, and every parameter after the
-update. The script prints each array that differs between the two
-sides, and exits 1 if any does, 0 otherwise.
+the inference outputs on the batch, then two Adam ``train_step``s and,
+on a fresh network, one SGD ``train_step``: for each step its losses,
+every gradient with its strides, and every parameter after the update.
+The script prints each array that differs between the two sides, and
+exits 1 if any does, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -49,6 +50,18 @@ def record(src: str, out: str) -> None:
         optimizer_step(params, grads, state)
 
     ad.optimizer_step = recording_step
+
+    def step(net, batch, config, opt, prefix):
+        step_grads.clear()
+        losses = tr.train_step(net, batch, config, opt)
+        for key, value in losses.items():
+            arrays[f"{prefix}/loss/{key}"] = np.array(value)
+        for name, g in step_grads.items():
+            arrays[f"{prefix}/grad/{name}"] = g
+            arrays[f"{prefix}/grad_strides/{name}"] = np.array(g.strides)
+        for name, p in net.params.items():
+            arrays[f"{prefix}/param/{name}"] = p.data
+
     for mode in MODES:
         for b, n in SHAPES:
             case = f"{mode}/B{b}xN{n}"
@@ -69,18 +82,11 @@ def record(src: str, out: str) -> None:
             config = tr.TrainConfig(mode=mode, alpha=0.1,
                                     fold_alpha_into_lambda=mode == "ivspk")
             opt = ad.OptimizerState.adam(net.params, lr=config.learning_rate)
-            for step in range(STEPS):
-                step_grads.clear()
-                losses = tr.train_step(net, batch, config, opt)
-                prefix = f"{case}/step{step}"
-                for key, value in losses.items():
-                    arrays[f"{prefix}/loss/{key}"] = np.array(value)
-                for name, g in step_grads.items():
-                    arrays[f"{prefix}/grad/{name}"] = g
-                    arrays[f"{prefix}/grad_strides/{name}"] = \
-                        np.array(g.strides)
-                for name, p in net.params.items():
-                    arrays[f"{prefix}/param/{name}"] = p.data
+            for i in range(STEPS):
+                step(net, batch, config, opt, f"{case}/step{i}")
+            step(md.SInMTNetwork(mode, n_speakers=N_SPEAKERS, seed=0), batch,
+                 config, ad.OptimizerState.sgd(config.learning_rate),
+                 f"{case}/sgd")
     np.savez(out, **arrays)
 
 

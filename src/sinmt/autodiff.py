@@ -10,9 +10,10 @@ runs at most once: the sweep drops it, with the forward values it
 captured, as it passes the node, so the backward pass reuses their
 memory instead of adding to it.
 
-The module also carries the training-side update rules (plain gradient
-descent and Adam), the gradient-reversal primitive used for adversarial
-feature learning, and a finite-difference gradient checker.
+The module also carries the one parameter update, ``optimizer_step``
+(plain gradient descent or Adam, after a missing- and non-finite-gradient
+guard), the gradient-reversal primitive used for adversarial feature
+learning, and a finite-difference gradient checker.
 """
 
 from __future__ import annotations
@@ -605,51 +606,36 @@ class OptimizerState:
         return state
 
 
-def _require_grads(params: ParameterSet, grads: dict[str, Array]) -> None:
+def optimizer_step(params: ParameterSet, grads: dict[str, Array],
+                   state: OptimizerState) -> None:
+    """One in-place update of every parameter; increments step_count.
+
+    SGD: p <- p - lr * g. Adam: the standard recursion with bias
+    correction. A missing gradient (ValueError) or a non-finite one
+    (NumericsError) is rejected before any parameter or moment moves.
+    """
+    if state.kind not in ("sgd", "adam"):
+        raise ValueError(f"unknown optimizer kind: {state.kind}")
     missing = [n for n in params if n not in grads]
     if missing:
         raise ValueError(f"missing gradient entries for: {', '.join(missing)}")
-
-
-def sgd_step(params: ParameterSet, grads: dict[str, Array], lr: float) -> None:
-    """In-place descent step: p <- p - lr * g for every parameter."""
-    _require_grads(params, grads)
-    for name, t in params.items():
-        t.data = t.data - lr * grads[name]
-
-
-def adam_step(params: ParameterSet, grads: dict[str, Array],
-              state: OptimizerState) -> None:
-    """Standard Adam recursion with bias correction; increments step_count."""
-    if state.kind != "adam":
-        raise ValueError(f"adam_step on optimizer state of kind {state.kind}")
-    _require_grads(params, grads)
     for name in params:
         if not np.all(np.isfinite(grads[name])):
             raise NumericsError(
                 f"non-finite gradient for parameter {name}; update aborted")
     state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - state.beta1 ** state.step_count
+    bc2 = 1.0 - state.beta2 ** state.step_count
     for name, p in params.items():
         g = grads[name]
+        if state.kind == "sgd":
+            p.data = p.data - state.lr * g
+            continue
         state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
         state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
         mhat = state.m[name] / bc1
         vhat = state.v[name] / bc2
         p.data = p.data - state.lr * mhat / (np.sqrt(vhat) + state.eps)
-
-
-def optimizer_step(params: ParameterSet, grads: dict[str, Array],
-                   state: OptimizerState) -> None:
-    if state.kind == "sgd":
-        sgd_step(params, grads, state.lr)
-        state.step_count += 1
-    elif state.kind == "adam":
-        adam_step(params, grads, state)
-    else:
-        raise ValueError(f"unknown optimizer kind: {state.kind}")
 
 
 # ---------------------------------------------------------------------------

@@ -58,28 +58,41 @@ _NESTED = {"corpus": sd.CorpusConfig, "model": ModelConfig,
            "head": md.MHFAConfig}
 
 
-def _convert(name: str, value, path: str):
-    """Field-specific coercions of a JSON leaf value."""
+# The JSON values a scalar field takes, keyed on the type of its default.
+# A boolean is never taken as a number, and a number keeps its JSON type,
+# so the resolved echo writes it back as given.
+_SCALARS = {bool: (bool, "true or false"), int: (int, "an integer"),
+            float: ((int, float), "a number")}
+
+
+def _convert(name: str, default, value, path: str):
+    """Type checks and field-specific coercions of a JSON leaf value."""
     if name in ("attack_id", "kind"):
         return str(value)  # the manifest header writes them as text
     if name == "params" and not isinstance(value, dict):
         raise ValueError(f"{path} must be an object")
+    if type(default) in _SCALARS:
+        accepted, kind = _SCALARS[type(default)]
+        if not isinstance(value, accepted) or \
+                isinstance(value, bool) != isinstance(default, bool):
+            raise ValueError(f"{path} must be {kind}, got {value!r}")
+        return value
     if value is None:
         return None
     if name == "conv_layers":
-        message = f"{path} must be a list of [channels, kernel, stride] triples"
-        try:
-            layers = [tuple(int(x) for x in layer) for layer in value]
-        except (TypeError, ValueError) as exc:
-            raise ValueError(message) from exc
-        if any(len(layer) != 3 for layer in layers):
-            raise ValueError(message)
-        return layers
+        # the entries' types are checked by EncoderConfig.validate
+        if not isinstance(value, list) or any(
+                not isinstance(layer, list) or len(layer) != 3
+                for layer in value):
+            raise ValueError(f"{path} must be a list of "
+                             f"[channels, kernel, stride] triples")
+        return [tuple(layer) for layer in value]
     if name in ("split_fractions", "spoof_class_weights"):
-        try:
-            return tuple(float(x) for x in value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path} must be a list of numbers") from exc
+        if not isinstance(value, list) or any(
+                not isinstance(x, (int, float)) or isinstance(x, bool)
+                for x in value):
+            raise ValueError(f"{path} must be a list of numbers")
+        return tuple(value)
     return value
 
 
@@ -91,11 +104,11 @@ def _build(cls, data, path: str):
         if f.name not in data and f.default is MISSING \
                 and f.default_factory is MISSING:
             raise ValueError(f"{path} is missing {f.name!r}")
-    names = {f.name for f in fields(cls)}
+    defaults = {f.name: f.default for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
         where = f"{path}.{key}" if path else key
-        if key not in names:
+        if key not in defaults:
             raise ValueError(f"unknown key {where}")
         if key == "attacks":
             if not isinstance(value, list):
@@ -105,7 +118,7 @@ def _build(cls, data, path: str):
         elif key in _NESTED:
             kwargs[key] = _build(_NESTED[key], value, where)
         else:
-            kwargs[key] = _convert(key, value, where)
+            kwargs[key] = _convert(key, defaults[key], value, where)
     return cls(**kwargs)
 
 

@@ -53,19 +53,6 @@ class ScoreSet:
     def __len__(self):
         return len(self.trials)
 
-    def scores_for(self, label: str) -> np.ndarray:
-        return np.array([t.score for t in self.trials if t.label == label],
-                        dtype=np.float64)
-
-    def attack_ids(self) -> list:
-        seen = {t.attack_id for t in self.trials if t.label == SPOOF}
-        return sorted(seen)
-
-    def restricted_to_attack(self, attack_id: str) -> "ScoreSet":
-        """All bonafide trials plus the one attack's spoof trials."""
-        return ScoreSet([t for t in self.trials
-                         if t.label == BONAFIDE or t.attack_id == attack_id])
-
 
 def write_scores(score_set: ScoreSet, path) -> None:
     lines = []
@@ -135,12 +122,6 @@ def eer_from_arrays(bonafide: np.ndarray, spoof: np.ndarray):
     return float(eer), float(thr)
 
 
-def compute_eer(scores: ScoreSet):
-    """(EER, threshold) over a score set; both classes must be present."""
-    return eer_from_arrays(scores.scores_for(BONAFIDE),
-                           scores.scores_for(SPOOF))
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -158,19 +139,22 @@ class EvalReport:
 def breakdown_report(scores: ScoreSet, expected_attacks=None) -> EvalReport:
     """Per-attack EERs (each against the full bonafide set), the pooled
     EER over all trials, and the mean of the per-attack EERs."""
-    attacks = scores.attack_ids()
-    counts = {BONAFIDE: int(sum(t.label == BONAFIDE for t in scores.trials))}
-    warn = []
-    if expected_attacks is not None:
-        for a in expected_attacks:
-            if a not in attacks:
-                warn.append(f"attack {a} has zero trials; omitted")
+    trials = scores.trials
+    score = np.array([t.score for t in trials], dtype=np.float64)
+    is_bonafide = np.array([t.label == BONAFIDE for t in trials], dtype=bool)
+    bonafide, spoof = score[is_bonafide], score[~is_bonafide]
+    spoof_attack = np.array([t.attack_id for t in trials],
+                            dtype=object)[~is_bonafide]
+    attacks = sorted(set(spoof_attack.tolist()))
+    counts = {BONAFIDE: int(is_bonafide.sum())}
+    warn = [f"attack {a} has zero trials; omitted"
+            for a in expected_attacks or () if a not in attacks]
     per_attack = {}
     for a in attacks:
-        sub = scores.restricted_to_attack(a)
-        counts[a] = len(sub) - counts[BONAFIDE]
-        per_attack[a], _ = compute_eer(sub)
-    pooled, _ = compute_eer(scores)
+        attack_spoof = spoof[spoof_attack == a]
+        counts[a] = int(attack_spoof.size)
+        per_attack[a], _ = eer_from_arrays(bonafide, attack_spoof)
+    pooled, _ = eer_from_arrays(bonafide, spoof)
     mean = float(np.mean(list(per_attack.values())))
     return EvalReport(per_attack=per_attack, pooled_eer=pooled,
                       mean_eer=mean, counts=counts, warnings=warn)

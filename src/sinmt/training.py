@@ -19,7 +19,7 @@ unweighted Ld.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,8 @@ import numpy as np
 from . import autodiff as ad
 from . import evaluation as ev
 from . import synthdata as sd
-from .model import (MODE_BASELINE, SInMTNetwork, load_checkpoint,
-                    resolve_grl)
+from .model import (MODE_BASELINE, SInMTNetwork, _require_positive_int,
+                    load_checkpoint, resolve_grl)
 
 _STREAM_SHUFFLE = 10
 _STREAM_ITEM = 11
@@ -67,14 +67,10 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer: {self.optimizer!r}")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.clip_len is not None and self.clip_len < 1:
-            raise ValueError("clip_len must be positive or None")
+        for name in ("batch_size", "epochs", "patience"):
+            _require_positive_int(name, getattr(self, name))
+        if self.clip_len is not None:
+            _require_positive_int("clip_len", self.clip_len)
         if self.spoof_class_weights is not None:
             w = np.asarray(self.spoof_class_weights, dtype=np.float64)
             if w.shape != (2,) or (w < 0).any() or w.sum() == 0.0:
@@ -210,9 +206,6 @@ def train_step(network: SInMTNetwork, batch: Batch, config: TrainConfig,
         tape.backward(total)
         grads = network.params.collect_grads(tape)
 
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise ad.NumericsError(f"non-finite gradient for {name}")
     ad.optimizer_step(network.params, grads, opt_state)
 
     ls = loss_s.item()
@@ -232,7 +225,6 @@ class TrainResult:
     history: list
     best_epoch: int
     best_dev_eer: float
-    speaker_classes: list = field(default_factory=list)
 
 
 def inverse_frequency_weights(labels, n_classes: int) -> np.ndarray:
@@ -398,5 +390,4 @@ def train(config: TrainConfig, manifest: sd.CorpusManifest,
 
     network.params.load_state(best_state)
     return TrainResult(network=network, history=history,
-                       best_epoch=best_epoch, best_dev_eer=float(best_eer),
-                       speaker_classes=speaker_classes)
+                       best_epoch=best_epoch, best_dev_eer=float(best_eer))

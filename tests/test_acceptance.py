@@ -151,7 +151,7 @@ def test_criterion_3_update_rule_conformance():
                 combo[name] = alpha * gd[name]
             else:
                 combo[name] = gs[name]
-        ad.sgd_step(oracle.params, combo, mu)
+        ad.optimizer_step(oracle.params, combo, ad.OptimizerState.sgd(mu))
 
         for name in oracle.params:
             diff = np.max(np.abs(stepped.params[name].data
@@ -173,7 +173,8 @@ def test_criterion_3_update_rule_conformance():
                                        batch.speaker_labels, np.ones(4))
         total = ad.add(ls, ad.scale(ld, alpha))
     tape.backward(total)
-    ad.sgd_step(plain.params, plain.params.collect_grads(tape), mu)
+    ad.optimizer_step(plain.params, plain.params.collect_grads(tape),
+                      ad.OptimizerState.sgd(mu))
     for name in plain.params:
         diff = np.max(np.abs(stepped.params[name].data
                              - plain.params[name].data))

@@ -488,22 +488,40 @@ class TestSgdStep:
     def test_single_value(self):
         ps = ad.ParameterSet()
         ps.add("theta", np.array(1.0), "extractor")
-        ad.sgd_step(ps, {"theta": np.array(0.5)}, lr=0.1)
+        ad.optimizer_step(ps, {"theta": np.array(0.5)},
+                          ad.OptimizerState.sgd(0.1))
         np.testing.assert_allclose(ps["theta"].data, 0.95, rtol=1e-15)
 
     def test_zero_gradient_is_identity(self):
         ps = ad.ParameterSet()
         ps.add("theta", np.array([2.0, -3.0]), "extractor")
         before = ps["theta"].data.copy()
-        ad.sgd_step(ps, {"theta": np.zeros(2)}, lr=0.1)
+        ad.optimizer_step(ps, {"theta": np.zeros(2)},
+                          ad.OptimizerState.sgd(0.1))
         np.testing.assert_array_equal(ps["theta"].data, before)
 
     def test_missing_gradient_names_parameter(self):
         ps = ad.ParameterSet()
         ps.add("theta", np.array(1.0), "extractor")
         ps.add("other", np.array(1.0), "spoof_head")
-        with pytest.raises(ValueError, match="other"):
-            ad.sgd_step(ps, {"theta": np.array(0.5)}, lr=0.1)
+        for state in (ad.OptimizerState.sgd(0.1),
+                      ad.OptimizerState.adam(ps, lr=0.1)):
+            with pytest.raises(ValueError, match="other"):
+                ad.optimizer_step(ps, {"theta": np.array(0.5)}, state)
+            assert ps["theta"].data == 1.0
+            assert state.step_count == 0
+
+    def test_nan_gradient_fails_fast_without_update(self):
+        ps = ad.ParameterSet()
+        ps.add("theta", np.array([1.0, 2.0]), "extractor")
+        ps.add("other", np.array(1.0), "spoof_head")
+        state = ad.OptimizerState.sgd(0.1)
+        with pytest.raises(ad.NumericsError, match="other"):
+            ad.optimizer_step(ps, {"theta": np.array([0.5, 0.5]),
+                                   "other": np.array(np.nan)}, state)
+        np.testing.assert_array_equal(ps["theta"].data, [1.0, 2.0])
+        assert ps["other"].data == 1.0
+        assert state.step_count == 0
 
 
 class TestAdamStep:
@@ -516,14 +534,14 @@ class TestAdamStep:
         for g in (0.3, -2.0, 1e-4):
             ps = self._one_param(1.0)
             state = ad.OptimizerState.adam(ps, lr=0.1)
-            ad.adam_step(ps, {"p": np.array([g])}, state)
+            ad.optimizer_step(ps, {"p": np.array([g])}, state)
             delta = ps["p"].data[0] - 1.0
             np.testing.assert_allclose(delta, -0.1 * np.sign(g), rtol=1e-3)
 
     def test_zero_gradient_zero_state_is_identity(self):
         ps = self._one_param(4.0)
         state = ad.OptimizerState.adam(ps, lr=0.1)
-        ad.adam_step(ps, {"p": np.zeros(1)}, state)
+        ad.optimizer_step(ps, {"p": np.zeros(1)}, state)
         np.testing.assert_array_equal(ps["p"].data, [4.0])
 
     def test_two_steps_match_hand_recursion(self):
@@ -540,8 +558,8 @@ class TestAdamStep:
 
         ps = self._one_param(1.0)
         state = ad.OptimizerState.adam(ps, lr=lr, beta1=b1, beta2=b2, eps=eps)
-        ad.adam_step(ps, {"p": np.array([1.0])}, state)
-        ad.adam_step(ps, {"p": np.array([1.0])}, state)
+        ad.optimizer_step(ps, {"p": np.array([1.0])}, state)
+        ad.optimizer_step(ps, {"p": np.array([1.0])}, state)
         assert state.step_count == 2
         np.testing.assert_allclose(ps["p"].data[0], theta, atol=1e-12)
 
@@ -549,7 +567,7 @@ class TestAdamStep:
         ps = self._one_param(1.0)
         state = ad.OptimizerState.adam(ps, lr=0.1)
         with pytest.raises(ad.NumericsError, match="p"):
-            ad.adam_step(ps, {"p": np.array([np.nan])}, state)
+            ad.optimizer_step(ps, {"p": np.array([np.nan])}, state)
         np.testing.assert_array_equal(ps["p"].data, [1.0])
         assert state.step_count == 0
 
@@ -557,7 +575,7 @@ class TestAdamStep:
         ps = self._one_param(1.0)
         state = ad.OptimizerState.adam(ps, lr=0.01)
         for expected in (1, 2, 3):
-            ad.adam_step(ps, {"p": np.array([0.5])}, state)
+            ad.optimizer_step(ps, {"p": np.array([0.5])}, state)
             assert state.step_count == expected
 
 
@@ -639,7 +657,7 @@ class TestTwoBackwardOracle:
         start = ps.state()
         g_ls, g_ld = self._per_loss_grads(ps, x, ys, yd)
         combined = self._combined_grads(ps, wf, ws, wd, x, ys, yd, lam, alpha)
-        ad.sgd_step(ps, combined, lr=lr)
+        ad.optimizer_step(ps, combined, ad.OptimizerState.sgd(lr))
 
         expected = {
             "wf": start["wf"] - lr * (g_ls["wf"] - lam * alpha * g_ld["wf"]),
@@ -659,7 +677,7 @@ class TestTwoBackwardOracle:
             twin.add(name, t.data.copy(), ps.group_of(name))
 
         combined = self._combined_grads(ps, wf, ws, wd, x, ys, yd, -1.0, alpha)
-        ad.sgd_step(ps, combined, lr=lr)
+        ad.optimizer_step(ps, combined, ad.OptimizerState.sgd(lr))
 
         with ad.Tape() as tape:
             h = ad.gelu(ad.matmul(ad.Tensor(x), twin["wf"]))
@@ -667,7 +685,8 @@ class TestTwoBackwardOracle:
             ld = _ce(ad.matmul(h, twin["wd"]), yd)
             loss = ad.add(ls, ad.scale(ld, alpha))
         tape.backward(loss)
-        ad.sgd_step(twin, twin.collect_grads(tape), lr=lr)
+        ad.optimizer_step(twin, twin.collect_grads(tape),
+                          ad.OptimizerState.sgd(lr))
 
         for name in ps:
             np.testing.assert_allclose(ps[name].data, twin[name].data,

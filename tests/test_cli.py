@@ -109,6 +109,43 @@ class TestGen:
         assert cli.main(["gen", "--config", str(bad),
                          "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("doc,named", [
+        ({"train": {"epochs": "2"}}, "train.epochs"),
+        ({"corpus": {"n_speakers": "20"}}, "corpus.n_speakers"),
+        ({"train": {"augment": "false"}}, "train.augment"),
+        ({"train": {"fold_alpha_into_lambda": "no"}},
+         "train.fold_alpha_into_lambda"),
+        ({"train": {"batch_size": True}}, "train.batch_size"),
+        ({"corpus": {"seed": 1.5}}, "corpus.seed"),
+        ({"train": {"seed": "7"}}, "train.seed"),
+        ({"train": {"learning_rate": "0.1"}}, "train.learning_rate"),
+        ({"train": {"clip_len": 2000.5}}, "clip_len"),
+        ({"model": {"encoder": {"conv_layers": [[16.7, 8, 4], [32, 4, 2],
+                                                [32, 4, 2]]}}},
+         "conv_layers[0] channels"),
+        ({"model": {"encoder": {"conv_layers": [[16, 8, 4], ["32", 4, 2],
+                                                [32, 4, 2]]}}},
+         "conv_layers[1] channels"),
+        ({"model": {"encoder": {"conv_layers": [[16, 8, 4], [32, 4, 2],
+                                                [32, 4, 2.9]]}}},
+         "conv_layers[2] stride"),
+        ({"corpus": {"split_fractions": ["0.7", "0.1", "0.2"]}},
+         "corpus.split_fractions"),
+        ({"train": {"spoof_class_weights": ["1", "2"]}},
+         "train.spoof_class_weights"),
+    ])
+    def test_wrongly_typed_value_is_named(self, tmp_path, capsys, doc,
+                                          named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for command in (["gen"], ["train", "--corpus", str(tmp_path)]):
+            code = cli.main(command + ["--config", str(bad),
+                                       "--out", str(out)])
+            assert code == 2, command
+            assert named in capsys.readouterr().err, command
+        assert not out.exists()
+
     @pytest.mark.parametrize("attack,named", [
         ({"attack_id": "A01", "kind": "phase_randomise"}, "phase_randomise"),
         ({"attack_id": "A03", "kind": "bit_crush", "params": {"bitz": 4}},

@@ -88,3 +88,16 @@ def test_wrongly_typed_model_size_is_named(tmp_path, section, key):
     doc = {"model": {section: {key: "4"}}}
     with pytest.raises(ValueError, match=f"{key} must be an integer"):
         cf.load(write_json(tmp_path / "bad.json", doc))
+
+
+def test_number_field_takes_an_integer_as_given(tmp_path):
+    doc = {"train": {"alpha": 1, "learning_rate": 1}}
+    cfg = cf.load(write_json(tmp_path / "cfg.json", doc))
+    assert type(cfg.train.alpha) is int
+    assert type(cfg.train.learning_rate) is int
+    cf.write_resolved(cfg, tmp_path / "echo.json")
+    assert '"alpha": 1,' in (tmp_path / "echo.json").read_text()
+    for value in (True, "1", None):
+        with pytest.raises(ValueError, match="train.alpha must be a number"):
+            cf.load(write_json(tmp_path / "bad.json",
+                               {"train": {"alpha": value}}))

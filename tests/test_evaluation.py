@@ -54,18 +54,18 @@ def make_set(bona_scores, spoof_scores):
 
 class TestComputeEer:
     def test_perfect_separation_is_zero(self):
-        eer, thr = ev.compute_eer(make_set([0.9, 0.8], [0.1, 0.2]))
+        eer, thr = ev.eer_from_arrays([0.9, 0.8], [0.1, 0.2])
         assert eer == 0.0
         assert 0.2 < thr < 0.8
 
     def test_identical_distributions_give_half(self):
         scores = [0.1, 0.4, 0.7, 0.9]
-        eer, _ = ev.compute_eer(make_set(scores, scores))
+        eer, _ = ev.eer_from_arrays(scores, scores)
         assert eer == pytest.approx(0.5, abs=1e-12)
 
     def test_identical_distributions_odd_count(self):
         scores = [1.0, 2.0, 3.0]
-        eer, _ = ev.compute_eer(make_set(scores, scores))
+        eer, _ = ev.eer_from_arrays(scores, scores)
         assert eer == pytest.approx(0.5, abs=1e-12)
 
     def test_single_class_rejected(self):
@@ -138,7 +138,9 @@ class TestBreakdownReport:
             (report.per_attack["A01"] + report.per_attack["A02"]) / 2.0)
         assert report.counts == {"bonafide": 40, "A01": 30, "A02": 30}
         # pooled EER is its own statistic: computed over all trials
-        pooled, _ = ev.compute_eer(ev.ScoreSet(trials))
+        pooled, _ = ev.eer_from_arrays(
+            [t.score for t in trials if t.label == "bonafide"],
+            [t.score for t in trials if t.label == "spoof"])
         assert report.pooled_eer == pooled
 
     def test_single_attack_pooled_equals_attack_eer(self):

@@ -279,7 +279,7 @@ class TestTrainStep:
                 batch.speaker_labels, alpha)
             tape.backward(total)
             grads = net_b.params.collect_grads(tape)
-        ad.sgd_step(net_b.params, grads, mu)
+        ad.optimizer_step(net_b.params, grads, ad.OptimizerState.sgd(mu))
 
         for name, value in net_a.params.state().items():
             np.testing.assert_allclose(value, net_b.params.state()[name],
