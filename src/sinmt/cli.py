@@ -46,9 +46,10 @@ def _load_config(path: str | None) -> cf.ExperimentConfig:
     return cf.load(path)
 
 
-def _load_network(path: str, mode: str | None = None):
+def _load_network(path: str):
+    # scoring reads the spoof branch only: no speaker head, no reversal
     try:
-        return md.load_checkpoint(path, mode=mode)
+        return md.load_checkpoint(path, mode=md.MODE_BASELINE)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot load checkpoint {path}: {exc}") from exc
 
@@ -115,9 +116,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     network = _load_network(args.ckpt)
     manifest = sd.read_manifest(args.corpus)
+    out = Path(args.out)
+    _require_writable_dir(out)
     scores = ev.score_split(network, manifest, args.split,
                             batch_size=args.batch_size)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ev.write_scores(scores, out / "scores.txt")
     report = ev.breakdown_report(
@@ -151,6 +153,7 @@ def cmd_probe(args) -> int:
 def cmd_export(args) -> int:
     network = _load_network(args.ckpt)
     manifest = sd.read_manifest(args.corpus)
+    _require_writable_dir(Path(args.out).parent)
     count = ev.export_embeddings(network, manifest, args.split, args.out)
     _log(f"wrote {count} embeddings to {args.out}")
     return EXIT_OK

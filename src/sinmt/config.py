@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import MISSING, dataclass, field, fields
 
 from . import model as md
@@ -51,34 +52,30 @@ class ExperimentConfig:
         self.train.validate()
 
 
-# Keys whose JSON object builds a nested dataclass (`corpus.attacks`, a
-# list of them, is handled on its own).
-_NESTED = {"corpus": sd.CorpusConfig, "model": ModelConfig,
-           "train": tr.TrainConfig, "encoder": md.EncoderConfig,
-           "head": md.MHFAConfig}
-
-
-# The JSON values a scalar field takes, keyed on the type of its default.
-# A boolean is never taken as a number, and a number keeps its JSON type,
+# The JSON values a scalar field takes, keyed on its declared type. A
+# boolean is never taken as a number, and a number keeps its JSON type,
 # so the resolved echo writes it back as given.
 _SCALARS = {bool: (bool, "true or false"), int: (int, "an integer"),
-            float: ((int, float), "a number")}
+            float: ((int, float), "a number"), str: (str, "text")}
 
 
-def _convert(name: str, default, value, path: str):
-    """Type checks and field-specific coercions of a JSON leaf value."""
-    if name in ("attack_id", "kind"):
-        return str(value)  # the manifest header writes them as text
-    if name == "params" and not isinstance(value, dict):
-        raise ValueError(f"{path} must be an object")
-    if type(default) in _SCALARS:
-        accepted, kind = _SCALARS[type(default)]
+def _convert(name: str, declared, value, path: str):
+    """Type checks and field-specific coercions of a JSON leaf value
+    against its field's declared type; ``X | None`` also takes null."""
+    options = typing.get_args(declared) or (declared,)
+    if value is None and type(None) in options:
+        return None
+    declared = options[0]
+    if name == "attack_id" and type(value) in (int, float):
+        value = str(value)  # the manifest header writes it as text
+    if declared in _SCALARS:
+        accepted, kind = _SCALARS[declared]
         if not isinstance(value, accepted) or \
-                isinstance(value, bool) != isinstance(default, bool):
+                isinstance(value, bool) != (declared is bool):
             raise ValueError(f"{path} must be {kind}, got {value!r}")
         return value
-    if value is None:
-        return None
+    if declared is dict and not isinstance(value, dict):
+        raise ValueError(f"{path} must be an object")
     if name == "conv_layers":
         # the entries' types are checked by EncoderConfig.validate
         if not isinstance(value, list) or any(
@@ -87,13 +84,26 @@ def _convert(name: str, default, value, path: str):
             raise ValueError(f"{path} must be a list of "
                              f"[channels, kernel, stride] triples")
         return [tuple(layer) for layer in value]
-    if name in ("split_fractions", "spoof_class_weights"):
+    if declared is tuple:
         if not isinstance(value, list) or any(
                 not isinstance(x, (int, float)) or isinstance(x, bool)
                 for x in value):
             raise ValueError(f"{path} must be a list of numbers")
         return tuple(value)
     return value
+
+
+def _build_attack(data, path: str) -> sd.AttackSpec:
+    """An attack spec whose known params are typed like their transform
+    defaults; `CorpusConfig.validate` names unknown kinds and params."""
+    spec = _build(sd.AttackSpec, data, path)
+    defaults = sd.attack_param_defaults(spec.kind) \
+        if spec.kind in sd.ATTACK_KINDS else {}
+    for name, value in spec.params.items():
+        if name in defaults:
+            spec.params[name] = _convert(name, type(defaults[name]), value,
+                                         f"{path}.params.{name}")
+    return spec
 
 
 def _build(cls, data, path: str):
@@ -104,21 +114,21 @@ def _build(cls, data, path: str):
         if f.name not in data and f.default is MISSING \
                 and f.default_factory is MISSING:
             raise ValueError(f"{path} is missing {f.name!r}")
-    defaults = {f.name: f.default for f in fields(cls)}
+    declared = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
         where = f"{path}.{key}" if path else key
-        if key not in defaults:
+        if key not in declared:
             raise ValueError(f"unknown key {where}")
         if key == "attacks":
             if not isinstance(value, list):
                 raise ValueError(f"{where} must be a list")
-            kwargs[key] = [_build(sd.AttackSpec, v, f"{where}[{i}]")
+            kwargs[key] = [_build_attack(v, f"{where}[{i}]")
                            for i, v in enumerate(value)]
-        elif key in _NESTED:
-            kwargs[key] = _build(_NESTED[key], value, where)
+        elif dataclasses.is_dataclass(declared[key]):
+            kwargs[key] = _build(declared[key], value, where)
         else:
-            kwargs[key] = _convert(key, defaults[key], value, where)
+            kwargs[key] = _convert(key, declared[key], value, where)
     return cls(**kwargs)
 
 

@@ -458,15 +458,15 @@ def read_checkpoint(path):
 
 
 def load_checkpoint(path, mode: str | None = None) -> SInMTNetwork:
-    """Rebuild the saved network; optionally flip it to a new mode.
+    """Rebuild the saved network, in its stored mode or as ``mode``.
 
-    Cross-mode loads follow the staged recipes and take the target
-    mode's default reversal scale: speaker-aware -> speaker-invariant
-    copies every parameter group unchanged; baseline -> either
-    multi-task mode copies the shared groups (extractor and spoof head)
-    and gives the speaker head a fresh seeded init, since a baseline
-    checkpoint carries no speaker head. Manifest keys the network does
-    not use (such as an older ``speaker_loss_weight``) are ignored.
+    Every parameter of the target network comes from the checkpoint,
+    except that a multi-task target loaded from a baseline checkpoint,
+    which has no speaker head, keeps a fresh seeded one. Any other
+    missing parameter is refused; parameters the target lacks are not
+    loaded. A new mode takes its default reversal scale. Manifest keys
+    the network does not use (such as an older ``speaker_loss_weight``)
+    are ignored.
     """
     manifest, values = read_checkpoint(path)
     try:
@@ -480,21 +480,13 @@ def load_checkpoint(path, mode: str | None = None) -> SInMTNetwork:
     if isinstance(grl_scale, bool) or not isinstance(grl_scale, numbers.Real):
         raise ValueError(f"checkpoint manifest grl_scale must be a number, "
                          f"got {grl_scale!r}")
+    resolve_grl(stored, grl_scale)
     target = mode or stored
-    if target != stored:
-        if stored != MODE_BASELINE and (stored, target) != (
-                MODE_SPEAKER_AWARE, MODE_SPEAKER_INVARIANT):
-            raise ValueError(
-                f"cannot load a {stored!r} checkpoint as {target!r}; "
-                f"supported flips: 'spk' -> 'ivspk', "
-                f"'baseline' -> 'spk' or 'ivspk'")
-        grl_scale = resolve_grl(target)
     net = SInMTNetwork(mode=target, n_speakers=n_speakers, encoder=enc,
-                       head=head, grl_scale=grl_scale,
-                       seed=manifest.get("seed", 0))
-    if stored == MODE_BASELINE and target != MODE_BASELINE:
-        merged = net.params.state()
-        merged.update(values)
-        values = merged
+                       head=head, seed=manifest.get("seed", 0),
+                       grl_scale=grl_scale if target == stored else None)
+    if stored == MODE_BASELINE:
+        fresh = net.params.group_names("speaker_head")
+        values = {**{n: net.params[n].data for n in fresh}, **values}
     net.params.load_state(values)
     return net

@@ -229,12 +229,12 @@ _ATTACK_TRANSFORMS = {"phase_randomize": phase_randomize,
 ATTACK_KINDS = tuple(_ATTACK_TRANSFORMS)
 
 
-def _attack_param_names(kind: str) -> set:
-    """The params an attack kind accepts: its transform's keyword
-    arguments, less the sample rate that ``apply_attack`` supplies."""
+def attack_param_defaults(kind: str) -> dict:
+    """The params an attack kind accepts and their defaults: its transform's
+    keyword arguments, less the sample rate that ``apply_attack`` supplies."""
     params = inspect.signature(_ATTACK_TRANSFORMS[kind]).parameters.values()
-    return {p.name for p in params
-            if p.default is not p.empty} - {"sample_rate"}
+    return {p.name: p.default for p in params
+            if p.default is not p.empty and p.name != "sample_rate"}
 
 
 def apply_attack(wav: np.ndarray, spec: AttackSpec, rng,
@@ -399,7 +399,7 @@ class CorpusConfig:
                 raise ValueError(
                     f"attack {spec.attack_id}: unknown kind {spec.kind!r} "
                     f"(expected one of {ATTACK_KINDS})")
-            allowed = _attack_param_names(spec.kind)
+            allowed = set(attack_param_defaults(spec.kind))
             unknown = sorted(set(spec.params) - allowed)
             if unknown:
                 raise ValueError(

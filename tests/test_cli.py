@@ -133,6 +133,10 @@ class TestGen:
          "corpus.split_fractions"),
         ({"train": {"spoof_class_weights": ["1", "2"]}},
          "train.spoof_class_weights"),
+        ({"train": {"init_checkpoint": ["a"]}}, "train.init_checkpoint"),
+        ({"train": {"init_checkpoint": 5}}, "train.init_checkpoint"),
+        ({"train": {"mode": "ivspk", "grl_scale": "0.5"}},
+         "train.grl_scale"),
     ])
     def test_wrongly_typed_value_is_named(self, tmp_path, capsys, doc,
                                           named):
@@ -153,6 +157,17 @@ class TestGen:
         # supplied by apply_attack itself, so not settable per attack
         ({"attack_id": "A04", "kind": "artifact_tone",
           "params": {"sample_rate": 8000}}, "sample_rate"),
+        ({"attack_id": "A", "kind": "bit_crush", "params": {"bits": "4"}},
+         "corpus.attacks[0].params.bits"),
+        ({"attack_id": "A", "kind": "bit_crush", "params": {"bits": 4.5}},
+         "corpus.attacks[0].params.bits"),
+        ({"attack_id": "A", "kind": "bit_crush", "params": {"bits": True}},
+         "corpus.attacks[0].params.bits"),
+        ({"attack_id": "A", "kind": "artifact_tone",
+          "params": {"freq_hz": "900"}}, "corpus.attacks[0].params.freq_hz"),
+        ({"attack_id": "A", "kind": "phase_randomize",
+          "params": {"frame_len": 256.0}},
+         "corpus.attacks[0].params.frame_len"),
     ])
     def test_bad_attack_spec_fails_before_writing(self, tmp_path, capsys,
                                                   attack, named):
@@ -297,15 +312,41 @@ class TestEval:
             capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_out_under_a_file_is_rejected_before_scoring(
+            self, cli_corpus, trained_run, tmp_path, monkeypatch, capsys,
+            command):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scoring started")
+
+        monkeypatch.setattr(ev, "score_split", no_scoring)
+        monkeypatch.setattr(ev, "embed_split", no_scoring)
+        (tmp_path / "afile").write_text("not a directory\n")
+        before = sorted(tmp_path.rglob("*"))
+        code = cli.main([command, "--ckpt", str(trained_run / "best.ckpt"),
+                         "--corpus", str(cli_corpus),
+                         "--out", str(tmp_path / "afile" / "x")])
+        assert code == 3
+        assert "not a writable directory" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_malformed_checkpoint_manifest_exits_2(self, cli_corpus,
-                                                   tmp_path, capsys):
+                                                   trained_run, tmp_path,
+                                                   capsys):
         ckpt = tmp_path / "list.ckpt"
         ckpt.write_bytes(f"{md.CHECKPOINT_VERSION}\n2\n[]".encode())
-        code = cli.main(["eval", "--ckpt", str(ckpt),
-                         "--corpus", str(cli_corpus),
-                         "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert "not a JSON object" in capsys.readouterr().err
+        # a mode the program does not know is refused even though the
+        # command loads every checkpoint as a baseline network
+        net = md.load_checkpoint(trained_run / "best.ckpt")
+        net.mode = "foo"
+        md.save_checkpoint(net, tmp_path / "foo.ckpt")
+        for name, fault in (("list.ckpt", "not a JSON object"),
+                            ("foo.ckpt", "unknown mode: 'foo'")):
+            code = cli.main(["eval", "--ckpt", str(tmp_path / name),
+                             "--corpus", str(cli_corpus),
+                             "--out", str(tmp_path / "x")])
+            assert code == 2
+            assert fault in capsys.readouterr().err
 
     def test_wrongly_typed_checkpoint_value_exits_2(self, cli_corpus,
                                                    trained_run, tmp_path,
@@ -366,6 +407,49 @@ class TestProbeAndExport:
         out2 = tmp_path / "emb2.txt"
         assert cli.main(args[:-3] + [str(out2), "--split", "dev"]) == 0
         assert out2.read_bytes() == out.read_bytes()
+
+
+class TestSpoofBranchOnly:
+    def test_commands_run_one_head_and_match_the_stored_mode(
+            self, cli_corpus, trained_run, tmp_path, monkeypatch, capsys):
+        ckpt = trained_run / "best.ckpt"
+        stored = md.load_checkpoint(ckpt)
+        assert stored.mode == "spk"
+        manifest = sd.read_manifest(cli_corpus)
+        expected_scores = ev.score_split(stored, manifest, "eval")
+        expected_probe = ev.separability_report(stored, manifest, "all")
+        ev.export_embeddings(stored, manifest, "eval", tmp_path / "ref.txt")
+
+        calls = {"encode": 0, "mhfa_pool": 0}
+
+        def counted(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(md.SInMTNetwork, "encode")
+        counted(md, "mhfa_pool")
+        for argv in (["eval", "--out", str(tmp_path / "ev")],
+                     ["probe", "--split", "all"],
+                     ["export", "--out", str(tmp_path / "emb.txt")]):
+            assert cli.main(argv + ["--ckpt", str(ckpt),
+                                    "--corpus", str(cli_corpus)]) == 0
+        assert calls["encode"] > 0
+        assert calls["mhfa_pool"] == calls["encode"]
+
+        scores = ev.read_scores(tmp_path / "ev" / "scores.txt")
+        assert [(t.utt_id, t.score) for t in scores.trials] == \
+            [(t.utt_id, t.score) for t in expected_scores.trials]
+        printed = capsys.readouterr().out
+        assert f"probe_accuracy   {expected_probe.probe_accuracy:.6f}\n" \
+            in printed
+        assert f"silhouette       {expected_probe.silhouette_score:.6f}\n" \
+            in printed
+        assert (tmp_path / "emb.txt").read_bytes() == \
+            (tmp_path / "ref.txt").read_bytes()
 
 
 class TestUsage:

@@ -375,12 +375,45 @@ class TestCheckpoints:
                 np.testing.assert_array_equal(warm.params[name].data,
                                               fresh.params[name].data)
 
-    def test_disallowed_mode_flip(self, tmp_path):
-        net = tiny_net("ivspk", n_speakers=4, seed=34)
-        path = tmp_path / "iv.ckpt"
-        m.save_checkpoint(net, path)
-        with pytest.raises(ValueError, match="supported flips"):
-            m.load_checkpoint(path, mode="baseline")
+    def test_every_mode_loads_as_every_mode(self, tmp_path):
+        for stored in m.MODES:
+            # a non-default ivspk scale shows whether λ was kept
+            grl = 0.5 if stored == "ivspk" else None
+            net = tiny_net(stored, n_speakers=4, seed=34, grl_scale=grl)
+            rng = np.random.default_rng(7)
+            for name in net.params:
+                net.params[name].data += rng.normal(
+                    scale=0.05, size=net.params[name].shape)
+            path = tmp_path / f"{stored}.ckpt"
+            m.save_checkpoint(net, path)
+            for target in m.MODES:
+                loaded = m.load_checkpoint(path, mode=target)
+                assert loaded.mode == target
+                assert loaded.grl_scale == (
+                    net.grl_scale if target == stored
+                    else m.DEFAULT_GRL[target])
+                fresh = tiny_net(target, n_speakers=4, seed=34)
+                for name in loaded.params:
+                    source = net if name in net.params else fresh
+                    np.testing.assert_array_equal(
+                        loaded.params[name].data, source.params[name].data,
+                        err_msg=f"{stored} -> {target}: {name}")
+                names = set(loaded.params)
+                assert names == set(fresh.params)
+                if target == "baseline":
+                    assert not any(n.startswith("speaker_head.")
+                                   for n in names)
+
+    def test_missing_extractor_parameter_is_refused_in_every_mode(
+            self, tmp_path):
+        path = tmp_path / "b.ckpt"
+        m.save_checkpoint(tiny_net("baseline", n_speakers=4, seed=34), path)
+        rewrite_manifest(path, lambda d: {**d, "params": [
+            e for e in d["params"] if e["name"] != "extractor.conv0.w"]})
+        for target in m.MODES:
+            with pytest.raises(ValueError, match="missing parameter in "
+                               "state: extractor.conv0.w"):
+                m.load_checkpoint(path, mode=target)
 
     def test_speaker_count_mismatch_names_parameter(self, tmp_path):
         small = tiny_net("spk", n_speakers=4, seed=35)
