@@ -6,6 +6,12 @@
 Each ``*_SRC`` is a directory that holds the ``sinmt`` package (a
 checkout's ``src``). Each side runs in its own subprocess, once with
 ``OPENBLAS_NUM_THREADS=1`` and once with 2, set before numpy loads.
+The change side also runs once more with one thread, in a subprocess
+pinned to one CPU (``os.sched_setaffinity`` before numpy loads), so
+that work the change splits across CPUs is compared with the parent
+both split and unsplit. Pinned to one CPU, OpenBLAS runs one thread
+whatever ``OPENBLAS_NUM_THREADS`` says, so that run is compared with
+the parent's one-thread run.
 
 A run covers baseline, spk and ivspk (α 0.1, folded into λ) at batch
 sizes 11 and 32 and lengths 2000 and 4000 samples. For each it records
@@ -90,10 +96,16 @@ def record(src: str, out: str) -> None:
     np.savez(out, **arrays)
 
 
-def run_side(src: Path, threads: int, out: Path) -> dict:
+def run_side(src: Path, threads: int, out: Path,
+             cpu: int | None = None) -> dict:
+    """Record ``src`` in a subprocess with ``threads`` BLAS threads,
+    pinned to CPU ``cpu`` when one is given."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                OMP_NUM_THREADS=str(threads))
-    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+    pin = ("" if cpu is None
+           else f"import os; os.sched_setaffinity(0, {{{cpu}}}); ")
+    code = (f"{pin}import sys; "
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r}); "
             f"import step_fingerprint as s; "
             f"s.record({str(src)!r}, {str(out)!r})")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
@@ -113,6 +125,16 @@ def differing(parent: dict, change: dict) -> list:
     return bad
 
 
+def report(label: str, parent: dict, change: dict) -> int:
+    """Print the arrays that differ and a count; return the count."""
+    bad = differing(parent, change)
+    for key in bad:
+        print(f"{label} differs: {key}")
+    print(f"{label}: {len(bad)} of {len(set(parent) | set(change))} "
+          f"arrays differ")
+    return len(bad)
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -128,12 +150,12 @@ def main(argv) -> int:
             parent, change = (
                 run_side(src, threads, Path(tmp) / f"{side}{threads}.npz")
                 for side, src in zip(("parent", "change"), sources))
-            bad = differing(parent, change)
-            for key in bad:
-                print(f"threads={threads} differs: {key}")
-            print(f"threads={threads}: {len(bad)} of "
-                  f"{len(set(parent) | set(change))} arrays differ")
-            total_bad += len(bad)
+            total_bad += report(f"threads={threads}", parent, change)
+            if threads == 1:
+                pinned = run_side(sources[1], 1, Path(tmp) / "pinned.npz",
+                                  min(os.sched_getaffinity(0)))
+                total_bad += report("threads=1, change on one CPU",
+                                    parent, pinned)
     return 1 if total_bad else 0
 
 

@@ -18,6 +18,8 @@ learning, and a finite-difference gradient checker.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -28,9 +30,6 @@ Array = np.ndarray
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-# Attention probabilities (float64 elements) per batch chunk, about 8 MB:
-# 4 utterances of 4 heads at 250 frames.
-_ATTENTION_CHUNK = 1 << 20
 
 
 class NumericsError(ArithmeticError):
@@ -211,6 +210,46 @@ def _emit(op: str, inputs: Sequence[Tensor], out_data: Array,
     return out
 
 
+_POOL: ThreadPoolExecutor | None = None
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on; the one place ``_in_shares`` reads
+    it."""
+    return len(os.sched_getaffinity(0))
+
+
+def _in_shares(n: int, work: Callable[[int, int], None]) -> None:
+    """Run ``work(lo, hi)`` over contiguous shares of ``range(n)``, one
+    share per usable CPU and at most ``n`` shares.
+
+    The first share runs in the calling thread, the others on a thread
+    pool made at first use; numpy and BLAS release the interpreter lock,
+    so the shares run on separate cores. Returns once every share has
+    finished, and re-raises an exception raised in any of them. With
+    one share the work runs inline and no pool is made. ``work`` must
+    write disjoint outputs and call no public function of this module,
+    so a tracer that wraps those never runs in a worker.
+    """
+    global _POOL
+    cpus = _worker_count()
+    shares = min(cpus, n)
+    if shares <= 1:
+        work(0, n)
+        return
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(cpus, thread_name_prefix="sinmt-share")
+    bounds = [n * i // shares for i in range(shares + 1)]
+    futures = [_POOL.submit(work, lo, hi)
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        work(bounds[0], bounds[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -328,20 +367,37 @@ def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian error linear unit, x * Phi(x)."""
-    xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
-    if _recording((x,)):
-        # Only a recorded node needs the derivative. Taking it here keeps
-        # one array alive until backward instead of both x and Phi(x).
-        deriv = _INV_SQRT_2PI * np.exp(-0.5 * xd * xd)
-        deriv *= xd
-        deriv += cdf
+    """Exact Gaussian error linear unit, x * Phi(x).
+
+    The leading axis is split across CPUs by ``_in_shares``; every
+    element gets the same float operations, so the result does not
+    depend on the split.
+    """
+    xd = np.atleast_1d(x.data)
+    out = np.empty_like(xd)
+    # Only a recorded node needs the derivative. Taking it here keeps
+    # one array alive until backward instead of both x and Phi(x).
+    deriv = np.empty_like(xd) if _recording((x,)) else None
+
+    def forward(lo, hi):
+        xs = xd[lo:hi]
+        cdf = 0.5 * (1.0 + erf(xs * _INV_SQRT2))
+        np.multiply(xs, cdf, out=out[lo:hi])
+        if deriv is not None:
+            ds = deriv[lo:hi]
+            np.exp(-0.5 * xs * xs, out=ds)
+            ds *= _INV_SQRT_2PI
+            ds *= xs
+            ds += cdf
+
+    _in_shares(len(xd), forward)
+    if deriv is not None:
+        deriv = deriv.reshape(x.shape)
 
     def bwd(g):
         return (g * deriv,)
 
-    return _emit("gelu", (x,), xd * cdf, bwd)
+    return _emit("gelu", (x,), out.reshape(x.shape), bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -363,12 +419,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Scaled dot-product attention, softmax(q kᵀ / √d) v, as one node.
 
-    ``q``, ``k`` and ``v`` are (B, H, T, d). The batch is processed in
-    chunks of about ``_ATTENTION_CHUNK`` probabilities, each with the
-    same float operations in the same order as the unfused matmul →
-    scale → softmax → matmul chain, so the output and the gradients are
-    bit-identical to it. Only the probabilities are kept for backward,
-    and only when a node is recorded.
+    ``q``, ``k`` and ``v`` are (B, H, T, d). Forward and backward run
+    one utterance at a time, so an utterance's (H, T, T) block (2 MB at
+    4 heads and 250 frames) stays in a core's cache, and ``_in_shares``
+    spreads the utterances over the usable CPUs. Each utterance gets the
+    unfused matmul → scale → softmax → matmul chain's float operations
+    in the same order, so the output and the gradients are bit-identical
+    to it whatever the number of CPUs. Only the probabilities are kept
+    for backward, and only when a node is recorded.
     """
     if q.ndim != 4 or not q.shape == k.shape == v.shape:
         raise ValueError(
@@ -376,20 +434,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
             f"got {q.shape}, {k.shape} and {v.shape}")
     B, H, T, d = q.shape
     c = float(1.0 / np.sqrt(d))
-    step = max(1, _ATTENTION_CHUNK // (H * T * T))
-    chunks = [slice(b, min(b + step, B)) for b in range(0, B, step)]
     qd, kd, vd = q.data, k.data, v.data
-    record = _recording((q, k, v))
-    p = np.empty((B if record else min(step, B), H, T, T))
+    p = np.empty((B, H, T, T)) if _recording((q, k, v)) else None
     out = np.empty((B, H, T, d))
-    for sl in chunks:
-        pc = p[sl] if record else p[:sl.stop - sl.start]
-        np.matmul(qd[sl], np.swapaxes(kd[sl], -1, -2), out=pc)
-        pc *= c
-        pc -= np.max(pc, axis=-1, keepdims=True)
-        np.exp(pc, out=pc)
-        pc /= np.sum(pc, axis=-1, keepdims=True)
-        np.matmul(pc, vd[sl], out=out[sl])
+
+    def forward(lo, hi):
+        scratch = np.empty((H, T, T)) if p is None else None
+        for b in range(lo, hi):
+            pb = scratch if p is None else p[b]
+            np.matmul(qd[b], np.swapaxes(kd[b], -1, -2), out=pb)
+            pb *= c
+            pb -= np.max(pb, axis=-1, keepdims=True)
+            np.exp(pb, out=pb)
+            pb /= np.sum(pb, axis=-1, keepdims=True)
+            np.matmul(pb, vd[b], out=out[b])
+
+    _in_shares(B, forward)
 
     def bwd(g):
         dq, dv = np.empty((B, H, T, d)), np.empty((B, H, T, d))
@@ -397,16 +457,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         # it has the layout the unfused chain's transpose gave it: a
         # later broadcast sum over it adds in that order.
         dkt = np.empty((B, H, d, T))
-        dp = np.empty((min(step, B), H, T, T))
-        for sl in chunks:
-            pc, gc, dpc = p[sl], g[sl], dp[:sl.stop - sl.start]
-            np.matmul(np.swapaxes(pc, -1, -2), gc, out=dv[sl])
-            np.matmul(gc, np.swapaxes(vd[sl], -1, -2), out=dpc)
-            dpc -= np.sum(dpc * pc, axis=-1, keepdims=True)
-            dpc *= pc
-            dpc *= c
-            np.matmul(dpc, kd[sl], out=dq[sl])
-            np.matmul(np.swapaxes(qd[sl], -1, -2), dpc, out=dkt[sl])
+
+        def backward(lo, hi):
+            dp = np.empty((H, T, T))
+            for b in range(lo, hi):
+                pb, gb = p[b], g[b]
+                np.matmul(np.swapaxes(pb, -1, -2), gb, out=dv[b])
+                np.matmul(gb, np.swapaxes(vd[b], -1, -2), out=dp)
+                dp -= np.sum(dp * pb, axis=-1, keepdims=True)
+                dp *= pb
+                dp *= c
+                np.matmul(dp, kd[b], out=dq[b])
+                np.matmul(np.swapaxes(qd[b], -1, -2), dp, out=dkt[b])
+
+        _in_shares(B, backward)
         return (dq, np.swapaxes(dkt, -1, -2), dv)
 
     return _emit("attention", (q, k, v), out, bwd)

@@ -32,6 +32,7 @@ EXIT_NUMERIC = 4
 # glibc mallopt parameters (malloc.h) and the values main() sets.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _MMAP_THRESHOLD = 32 << 20  # glibc's own ceiling for its dynamic threshold
 _TRIM_THRESHOLD = 1 << 30
 
@@ -215,9 +216,13 @@ def _keep_freed_heap_mapped() -> None:
     sweep, so the heap top is free once a step ends. By default glibc
     trims it, and the next forward pass faults it back in page by page:
     about 32k minor faults and 100-140 ms of system time per 32x4000
-    training step (one BLAS thread, 2-core x86-64). With trimming held off and the mmap threshold fixed
-    at its dynamic ceiling, the freed heap stays mapped and is reused.
-    Does nothing without glibc.
+    training step (one BLAS thread, 2-core x86-64). With trimming held
+    off and the mmap threshold fixed at its dynamic ceiling, the freed
+    heap stays mapped and is reused. glibc is also held to one arena:
+    attention and gelu allocate scratch in worker threads, which would
+    otherwise each get an arena of their own, so memory freed in one
+    thread could not serve the next allocation in another and the
+    peak resident size grows. Does nothing without glibc.
     """
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt
@@ -227,6 +232,7 @@ def _keep_freed_heap_mapped() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,8 @@ test never supplies its own expected values.
 """
 
 import inspect
+import sys
+import threading
 import weakref
 import zlib
 
@@ -193,35 +195,42 @@ def unfused_attention(q, k, v):
     return ad.matmul(ad.softmax(scores, axis=-1), v)
 
 
+def head_split_attention(batch, record, op=ad.attention):
+    """``op`` on head-split views of seeded (batch, 250, 4, 8) leaves,
+    as in the encoder: the output and, when ``record``, each leaf's
+    gradient and its strides."""
+    rng = np.random.default_rng(batch)
+    leaves = [ad.Tensor(rng.normal(size=(batch, 250, 4, 8)),
+                        requires_grad=record) for _ in range(3)]
+    proj = ad.Tensor(rng.normal(size=(batch, 250, 4, 8)))
+    if not record:
+        q, k, v = (ad.transpose(t, (0, 2, 1, 3)) for t in leaves)
+        return [op(q, k, v).data]
+    with ad.Tape() as tape:
+        q, k, v = (ad.transpose(t, (0, 2, 1, 3)) for t in leaves)
+        out = op(q, k, v)
+        loss = ad.reduce_sum(ad.mul(ad.transpose(out, (0, 2, 1, 3)), proj))
+    tape.backward(loss)
+    grads = [tape.grad(t) for t in leaves]
+    return [out.data] + grads + [np.array(g.strides) for g in grads]
+
+
 class TestAttention:
     @pytest.mark.parametrize("batch", [1, 11])
     def test_bit_identical_to_unfused_chain(self, batch):
-        """At (H, T, d) = (4, 250, 8) the batch runs in chunks of 4, so
-        B = 11 splits 4/4/3. Inputs and the upstream gradient are
-        head-split views, as in the encoder, and k's gradient must keep
-        the unfused chain's memory layout, because a broadcast sum over
-        it adds in that order. Each leaf's gradient is a transposed view
-        of its head-split tensor's, so comparing the leaves compares
+        """The batch runs one utterance at a time, with the utterances
+        shared out over the usable CPUs (TestWorkerCount pins the share
+        count). Inputs and the upstream gradient are head-split views,
+        as in the encoder, and k's gradient must keep the unfused
+        chain's memory layout, because a broadcast sum over it adds in
+        that order. Each leaf's gradient is a transposed view of its
+        head-split tensor's, so comparing the leaves' strides compares
         those layouts."""
-        H, T, d = 4, 250, 8
-        rng = np.random.default_rng(batch)
-        leaves = [ad.Tensor(rng.normal(size=(batch, T, H, d)),
-                            requires_grad=True) for _ in range(3)]
-        proj = ad.Tensor(rng.normal(size=(batch, T, H, d)))
-        results = []
-        for op in (ad.attention, unfused_attention):
-            with ad.Tape() as tape:
-                q, k, v = (ad.transpose(t, (0, 2, 1, 3)) for t in leaves)
-                out = op(q, k, v)
-                loss = ad.reduce_sum(
-                    ad.mul(ad.transpose(out, (0, 2, 1, 3)), proj))
-            tape.backward(loss)
-            results.append((out.data, [tape.grad(t) for t in leaves]))
-        (fused, fused_grads), (chain, chain_grads) = results
-        assert np.array_equal(fused, chain)
-        for name, a, b in zip("qkv", fused_grads, chain_grads):
+        fused = head_split_attention(batch, True)
+        chain = head_split_attention(batch, True, unfused_attention)
+        for name, a, b in zip(["out", *"qkv", "q strides", "k strides",
+                               "v strides"], fused, chain):
             assert np.array_equal(a, b), name
-            assert a.strides == b.strides, name
 
     def test_forward_without_tape_matches(self):
         rng = np.random.default_rng(5)
@@ -235,6 +244,87 @@ class TestAttention:
         b = ad.Tensor(np.zeros((1, 2, 4, 3)))
         with pytest.raises(ValueError, match=r"\(1, 2, 4, 3\)"):
             ad.attention(a, b, a)
+
+
+def taped_gelu(x):
+    """gelu's output and its gradient under a seeded projection."""
+    leaf = ad.Tensor(x, requires_grad=True)
+    proj = ad.Tensor(np.random.default_rng(x.size).normal(size=x.shape))
+    with ad.Tape() as tape:
+        out = ad.gelu(leaf)
+        loss = ad.reduce_sum(ad.mul(out, proj))
+    tape.backward(loss)
+    return [out.data, tape.grad(leaf)]
+
+
+class TestWorkerCount:
+    """attention and gelu split their batch into one share per usable
+    CPU; each share does the same float operations, so nothing may
+    depend on the share count."""
+
+    @staticmethod
+    def across_counts(monkeypatch, run):
+        """``run()``'s results at share counts 1, 2 and 3, with the
+        interpreter switching threads as often as it can, so that shares
+        interleave even where there are fewer cores than shares."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = []
+            for count in (1, 2, 3):
+                monkeypatch.setattr(ad, "_worker_count", lambda: count)
+                results.append(run())
+        finally:
+            sys.setswitchinterval(interval)
+        return results
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("batch", [1, 11])
+    def test_attention_bit_identical_across_counts(self, monkeypatch,
+                                                   batch, record):
+        one, *more = self.across_counts(
+            monkeypatch, lambda: head_split_attention(batch, record))
+        assert len(one) == (7 if record else 1)
+        for other in more:
+            for a, b in zip(one, other):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("shape", [(11, 16, 40), (1003,), ()])
+    def test_gelu_bit_identical_across_counts(self, monkeypatch, shape):
+        x = np.random.default_rng(3).normal(0, 2, size=shape)
+        one, *more = self.across_counts(monkeypatch, lambda: taped_gelu(x))
+        for other in more:
+            for a, b in zip(one, other):
+                assert a.shape == shape
+                assert np.array_equal(a, b)
+
+    def test_shares_cover_the_batch_once(self, monkeypatch):
+        monkeypatch.setattr(ad, "_worker_count", lambda: 3)
+        ran = []
+
+        def work(lo, hi):
+            ran.append((lo, hi, threading.get_ident()))
+
+        ad._in_shares(11, work)
+        assert sorted(r[:2] for r in ran) == [(0, 3), (3, 7), (7, 11)]
+        caller = threading.get_ident()
+        assert [r[2] == caller for r in sorted(ran)] == [True, False, False]
+        ran.clear()
+        ad._in_shares(2, work)  # at most one share per item
+        assert sorted(r[:2] for r in ran) == [(0, 1), (1, 2)]
+
+    def test_a_share_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(ad, "_worker_count", lambda: 3)
+        done = []
+
+        def work(lo, hi):
+            if lo == 3:
+                raise ArithmeticError(f"share {lo}:{hi}")
+            done.append(lo)
+
+        with pytest.raises(ArithmeticError, match="share 3:7"):
+            ad._in_shares(11, work)
+        assert sorted(done) == [0, 7]  # the other shares ran to the end
 
 
 class TestBackward:

@@ -491,8 +491,9 @@ class TestHeapPolicy:
         libc = self.FakeLibc()
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
         cli._keep_freed_heap_mapped()
-        # glibc's M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1
-        assert libc.calls == [(-3, 32 << 20), (-1, 1 << 30)]
+        # glibc's M_MMAP_THRESHOLD is -3, M_TRIM_THRESHOLD -1 and
+        # M_ARENA_MAX -8
+        assert libc.calls == [(-3, 32 << 20), (-1, 1 << 30), (-8, 1)]
 
     def test_no_glibc_does_nothing(self, monkeypatch):
         def missing(name):
