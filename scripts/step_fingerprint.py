@@ -6,12 +6,14 @@
 Each ``*_SRC`` is a directory that holds the ``sinmt`` package (a
 checkout's ``src``). Each side runs in its own subprocess, once with
 ``OPENBLAS_NUM_THREADS=1`` and once with 2, set before numpy loads.
-The change side also runs once more with one thread, in a subprocess
-pinned to one CPU (``os.sched_setaffinity`` before numpy loads), so
-that work the change splits across CPUs is compared with the parent
-both split and unsplit. Pinned to one CPU, OpenBLAS runs one thread
-whatever ``OPENBLAS_NUM_THREADS`` says, so that run is compared with
-the parent's one-thread run.
+The change side also runs twice more with one thread: in a subprocess
+pinned to one CPU (``os.sched_setaffinity`` before numpy loads), and
+with ``autodiff._worker_count`` forced to 3, more shares than this
+machine may have CPUs; so work the change splits across CPUs is
+compared with the parent unsplit and split unevenly as well as split
+as usual (at batch size 32 every op that can split does). Pinned to
+one CPU, OpenBLAS runs one thread whatever ``OPENBLAS_NUM_THREADS``
+says, so both runs are compared with the parent's one-thread run.
 
 A run covers baseline, spk and ivspk (α 0.1, folded into λ) at batch
 sizes 11 and 32 and lengths 2000 and 4000 samples. For each it records
@@ -39,13 +41,17 @@ N_SPEAKERS = 20
 STEPS = 2
 
 
-def record(src: str, out: str) -> None:
+def record(src: str, out: str, shares: int | None = None) -> None:
     """Run every case on the sinmt package under ``src`` and save each
-    recorded array to the npz file ``out``."""
+    recorded array to the npz file ``out``; with ``shares``, split the
+    work of an op into that many shares whatever the CPU count."""
     sys.path.insert(0, src)
     from sinmt import autodiff as ad
     from sinmt import model as md
     from sinmt import training as tr
+
+    if shares is not None:
+        ad._worker_count = lambda: shares
 
     arrays = {}
     step_grads = {}
@@ -96,10 +102,11 @@ def record(src: str, out: str) -> None:
     np.savez(out, **arrays)
 
 
-def run_side(src: Path, threads: int, out: Path,
-             cpu: int | None = None) -> dict:
+def run_side(src: Path, threads: int, out: Path, cpu: int | None = None,
+             shares: int | None = None) -> dict:
     """Record ``src`` in a subprocess with ``threads`` BLAS threads,
-    pinned to CPU ``cpu`` when one is given."""
+    pinned to CPU ``cpu`` when one is given, and split into ``shares``
+    shares when that is given."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                OMP_NUM_THREADS=str(threads))
     pin = ("" if cpu is None
@@ -107,7 +114,7 @@ def run_side(src: Path, threads: int, out: Path,
     code = (f"{pin}import sys; "
             f"sys.path.insert(0, {str(Path(__file__).parent)!r}); "
             f"import step_fingerprint as s; "
-            f"s.record({str(src)!r}, {str(out)!r})")
+            f"s.record({str(src)!r}, {str(out)!r}, {shares!r})")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
     with np.load(out) as data:
         return {k: data[k] for k in data.files}
@@ -156,6 +163,10 @@ def main(argv) -> int:
                                   min(os.sched_getaffinity(0)))
                 total_bad += report("threads=1, change on one CPU",
                                     parent, pinned)
+                uneven = run_side(sources[1], 1, Path(tmp) / "shares3.npz",
+                                  shares=3)
+                total_bad += report("threads=1, change in 3 shares",
+                                    parent, uneven)
     return 1 if total_bad else 0
 
 

@@ -10,6 +10,16 @@ runs at most once: the sweep drops it, with the forward values it
 captured, as it passes the node, so the backward pass reuses their
 memory instead of adding to it.
 
+Per-item ops (conv1d, layer norm, attention, gelu, add, and matmul of
+a (B, T, D) stack by a matrix) split their leading, per-item axis into
+one share per usable CPU (``_in_shares``, on persistent worker
+threads); all but attention go through ``_split_leading``, which keeps
+a small op whole, in the calling thread. An item gets the same float
+operations whatever the split, and sums across the batch (conv1d's
+kernel gradient, layer norm's gain and bias gradients, broadcast sums)
+stay in the calling thread, so results do not depend on the number of
+CPUs.
+
 The module also carries the one parameter update, ``optimizer_step``
 (plain gradient descent or Adam, after a missing- and non-finite-gradient
 guard), the gradient-reversal primitive used for adversarial feature
@@ -18,8 +28,10 @@ learning, and a finite-difference gradient checker.
 
 from __future__ import annotations
 
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+import queue
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -210,44 +222,120 @@ def _emit(op: str, inputs: Sequence[Tensor], out_data: Array,
     return out
 
 
-_POOL: ThreadPoolExecutor | None = None
-
-
 def _worker_count() -> int:
     """CPUs this process may run on; the one place ``_in_shares`` reads
     it."""
     return len(os.sched_getaffinity(0))
 
 
+# One task queue per worker thread, in share order; a worker lives as
+# long as the process and serves its queue's tasks one after another.
+_WORKERS: list[queue.SimpleQueue] = []
+# A forked child inherits the queues but not the threads behind them.
+os.register_at_fork(after_in_child=_WORKERS.clear)
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    while True:
+        work, lo, hi, done = tasks.get()
+        try:
+            work(lo, hi)
+        except BaseException as exc:
+            done.put((lo, exc))
+        else:
+            done.put((lo, None))
+        del work, done  # hold no caller's closure while idle
+
+
 def _in_shares(n: int, work: Callable[[int, int], None]) -> None:
     """Run ``work(lo, hi)`` over contiguous shares of ``range(n)``, one
     share per usable CPU and at most ``n`` shares.
 
-    The first share runs in the calling thread, the others on a thread
-    pool made at first use; numpy and BLAS release the interpreter lock,
-    so the shares run on separate cores. Returns once every share has
-    finished, and re-raises an exception raised in any of them. With
-    one share the work runs inline and no pool is made. ``work`` must
-    write disjoint outputs and call no public function of this module,
-    so a tracer that wraps those never runs in a worker.
+    The first share runs in the calling thread, each other share on its
+    own persistent worker thread, handed over through that worker's
+    queue; numpy and BLAS release the interpreter lock, so the shares
+    run on separate cores. The workers are started at first need and
+    reused by every later call. Returns once every share has finished,
+    then re-raises an exception from the lowest share that raised one.
+    With one share the work runs inline and no thread is started.
+    ``work`` must write disjoint outputs and call no public function of
+    this module, so a tracer that wraps those never runs in a worker.
     """
-    global _POOL
-    cpus = _worker_count()
-    shares = min(cpus, n)
+    shares = min(_worker_count(), n)
     if shares <= 1:
         work(0, n)
         return
-    if _POOL is None:
-        _POOL = ThreadPoolExecutor(cpus, thread_name_prefix="sinmt-share")
+    while len(_WORKERS) < shares - 1:
+        tasks = queue.SimpleQueue()
+        threading.Thread(target=_serve, args=(tasks,), daemon=True,
+                         name=f"sinmt-share-{len(_WORKERS) + 1}").start()
+        _WORKERS.append(tasks)
     bounds = [n * i // shares for i in range(shares + 1)]
-    futures = [_POOL.submit(work, lo, hi)
-               for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    done = queue.SimpleQueue()
+    for tasks, lo, hi in zip(_WORKERS, bounds[1:-1], bounds[2:]):
+        tasks.put((work, lo, hi, done))
     try:
         work(bounds[0], bounds[1])
     finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+        errors = sorted(done.get() for _ in range(shares - 1))
+    for _, exc in errors:
+        if exc is not None:
+            raise exc
+
+
+# An op whose result has fewer elements runs whole in the calling
+# thread. Timed in two shares against whole (2-core x86-64, one BLAS
+# thread, medians, three runs at 11 and 32 items): below 2^15 elements
+# every split op but gelu's forward lost, by 20-420 us a call; at 2^16
+# gelu's forward gained 510-580 us and layer norm's 130-280 us, while
+# add, matmul's forward and gelu's backward product lost 20-60 us; from
+# 2^17 up nearly every op gained.
+_SPLIT_MIN_SIZE = 1 << 16
+
+
+def _split_leading(fn, shapes, *operands):
+    """``fn(*operands)``, computed one ``_in_shares`` share of the result's
+    leading (item) axis at a time.
+
+    ``shapes`` is the shape of ``fn``'s result, a list of shapes when
+    ``fn`` returns a tuple of arrays with one leading length, or None
+    for an elementwise ``fn`` (the operands' broadcast shape). An
+    operand with the result's rank and leading length is sliced with
+    it; any other (a broadcast operand, a matmul's 2-D right operand)
+    goes whole to every share. ``fn(*operands)`` must allocate its
+    result as numpy does, and ``fn(*operands, out=out)`` fill ``out``
+    instead. An item gets the same float operations whatever the split,
+    so an op whose items are independent gives the same bits at every
+    share count.
+
+    The work runs whole, as ``fn(*operands)``, when the (first) result
+    has fewer than ``_SPLIT_MIN_SIZE`` elements or fewer than two axes,
+    or when a sliced operand is not C-contiguous: numpy could then give
+    the result another layout, and a later sum over it adds in layout
+    order. A split result is C-contiguous.
+    """
+    if shapes is None:
+        # Only an operand at least this large makes the broadcast shape
+        # worth working out; a small op stays as cheap as numpy alone.
+        if all(x.size < _SPLIT_MIN_SIZE for x in operands):
+            return fn(*operands)
+        shapes = np.broadcast_shapes(*(x.shape for x in operands))
+    several = isinstance(shapes, list)
+    first = shapes[0] if several else shapes
+    if len(first) < 2 or math.prod(first) < _SPLIT_MIN_SIZE:
+        return fn(*operands)
+    n, nd = first[0], len(first)
+    sliced = [x.ndim == nd and len(x) == n for x in operands]
+    if not all(x.flags.c_contiguous for x, s in zip(operands, sliced) if s):
+        return fn(*operands)
+    out = tuple(map(np.empty, shapes)) if several else np.empty(first)
+
+    def work(lo, hi):
+        fn(*(x[lo:hi] if s else x for x, s in zip(operands, sliced)),
+           out=(tuple(o[lo:hi] for o in out) if several else out[lo:hi]))
+
+    _in_shares(n, work)
+    return out
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -270,7 +358,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
-        out = a.data + b.data
+        out = _split_leading(np.add, None, a.data, b.data)
     except ValueError:
         raise ValueError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
     sa, sb = a.shape, b.shape
@@ -310,20 +398,39 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
     ad, bd = a.data, b.data
+    # A stack by a matrix, (B, T, D) @ (D, E), is one GEMM per item, so
+    # its products split by item. Other shapes run whole: a share
+    # boundary inside a GEMM could change its blocking, and so its bits.
+    by_item = ad.ndim == 3 and bd.ndim == 2
+
+    def product(fn, shape, x, y):
+        return _split_leading(fn, shape, x, y) if by_item else fn(x, y)
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(bd, -1, -2))
-        gb = np.matmul(np.swapaxes(ad, -1, -2), g)
+        ga = product(np.matmul, g.shape[:-1] + bd.shape[-2:-1],
+                     g, np.swapaxes(bd, -1, -2))
+        gb = product(_transposed_matmul, g.shape[:-2] + bd.shape[-2:], ad, g)
         return (_unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape))
 
-    return _emit("matmul", (a, b), np.matmul(ad, bd), bwd)
+    return _emit("matmul", (a, b),
+                 product(np.matmul, ad.shape[:-1] + bd.shape[-1:], ad, bd),
+                 bwd)
+
+
+def _transposed_matmul(x, y, out=None):
+    """``swapaxes(x, -1, -2) @ y``, the transpose taken of each share."""
+    return np.matmul(np.swapaxes(x, -1, -2), y, out=out)
 
 
 def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     """Strided cross-correlation, valid windows only (no padding).
 
     ``signal`` is (B, C, L) and ``kernel`` (O, C, K); the result is
-    (B, O, T) with T = floor((L - K) / stride) + 1.
+    (B, O, T) with T = floor((L - K) / stride) + 1. The forward pass and
+    the signal's gradient run one share of the batch at a time across
+    CPUs (``_split_leading``); the kernel's gradient, a sum over the
+    batch, is one GEMM in the calling thread. A signal that does not
+    require gradients gets none.
     """
     if signal.ndim != 3 or kernel.ndim != 3:
         raise ValueError(
@@ -342,26 +449,42 @@ def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
             f"conv1d: signal length {L} shorter than kernel length {K}")
     T = (L - K) // stride + 1
     xd = signal.data
+    wmat = kernel.data.reshape(O, C * K)
+    want_gx = signal.requires_grad
+
     # im2col: gather the strided windows once so both passes are single
     # BLAS contractions instead of K separate reductions.
-    win = np.lib.stride_tricks.sliding_window_view(xd, K, axis=2)
-    win = win[:, :, ::stride]                                   # (B, C, T, K)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3))      # (B, T, C, K)
-    cols = cols.reshape(B, T, C * K)
-    wmat = kernel.data.reshape(O, C * K)
-    out = np.ascontiguousarray(np.matmul(cols, wmat.T).transpose(0, 2, 1))
+    def forward(x, out=None):
+        cols, y = out or (np.empty((len(x), T, C * K)),
+                          np.empty((len(x), O, T)))
+        win = np.lib.stride_tricks.sliding_window_view(x, K, axis=2)
+        win = win[:, :, ::stride].transpose(0, 2, 1, 3)         # (b, T, C, K)
+        np.copyto(cols.reshape(win.shape), win)
+        np.copyto(y, np.matmul(cols, wmat.T).transpose(0, 2, 1))
+        return cols, y
+
+    cols, out = _split_leading(forward, [(B, T, C * K), (B, O, T)], xd)
+
+    def signal_grad(gt, x, out=None):
+        """The signal's gradient for (a share of) the batch: ``gt`` is
+        the (b, T, O) output gradient, and the result has ``x``'s
+        layout."""
+        gx = np.empty_like(x) if out is None else out
+        gx.fill(0.0)
+        gcols = np.matmul(gt, wmat).reshape(len(gt), T, C, K)
+        gcols = gcols.transpose(0, 2, 1, 3)                     # (b, C, T, K)
+        for k in range(K):
+            sl = slice(k, k + (T - 1) * stride + 1, stride)
+            gx[:, :, sl] += gcols[:, :, :, k]
+        return gx
 
     def bwd(g):
         gt = np.ascontiguousarray(g.transpose(0, 2, 1))         # (B, T, O)
         gw = (gt.reshape(B * T, O).T
               @ cols.reshape(B * T, C * K)).reshape(O, C, K)
-        gcols = np.matmul(gt, wmat).reshape(B, T, C, K)
-        gcols = gcols.transpose(0, 2, 1, 3)                     # (B, C, T, K)
-        gx = np.zeros_like(xd)
-        for k in range(K):
-            sl = slice(k, k + (T - 1) * stride + 1, stride)
-            gx[:, :, sl] += gcols[:, :, :, k]
-        return (gx, gw)
+        if not want_gx:
+            return (None, gw)
+        return (_split_leading(signal_grad, xd.shape, gt, xd), gw)
 
     return _emit("conv1d", (signal, kernel), out, bwd)
 
@@ -369,33 +492,31 @@ def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian error linear unit, x * Phi(x).
 
-    The leading axis is split across CPUs by ``_in_shares``; every
-    element gets the same float operations, so the result does not
-    depend on the split.
+    The forward pass and the backward product split the leading axis
+    across CPUs (``_split_leading``); every element gets the same float
+    operations, so the result does not depend on the split.
     """
     xd = np.atleast_1d(x.data)
-    out = np.empty_like(xd)
     # Only a recorded node needs the derivative. Taking it here keeps
     # one array alive until backward instead of both x and Phi(x).
-    deriv = np.empty_like(xd) if _recording((x,)) else None
+    record = _recording((x,))
 
-    def forward(lo, hi):
-        xs = xd[lo:hi]
+    def forward(xs, out=(None, None)):
         cdf = 0.5 * (1.0 + erf(xs * _INV_SQRT2))
-        np.multiply(xs, cdf, out=out[lo:hi])
-        if deriv is not None:
-            ds = deriv[lo:hi]
-            np.exp(-0.5 * xs * xs, out=ds)
-            ds *= _INV_SQRT_2PI
-            ds *= xs
-            ds += cdf
+        y = np.multiply(xs, cdf, out=out[0])
+        if not record:
+            return (y,)
+        ds = np.exp(-0.5 * xs * xs, out=out[1])
+        ds *= _INV_SQRT_2PI
+        ds *= xs
+        ds += cdf
+        return y, ds
 
-    _in_shares(len(xd), forward)
-    if deriv is not None:
-        deriv = deriv.reshape(x.shape)
+    out, *deriv = _split_leading(forward, [xd.shape] * (1 + record), xd)
+    deriv = deriv[0].reshape(x.shape) if deriv else None
 
     def bwd(g):
-        return (g * deriv,)
+        return (_split_leading(np.multiply, None, g, deriv),)
 
     return _emit("gelu", (x,), out.reshape(x.shape), bwd)
 
@@ -490,28 +611,48 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
                eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance, then affine."""
+    """Normalize the last axis to zero mean, unit variance, then affine.
+
+    Rows are normalized independently, so an input of two or more axes
+    (a frame tensor, or each utterance's frames flattened) is split by
+    its leading axis across CPUs (``_split_leading``), forward and input
+    gradient alike. The gain and bias gradients, sums over all rows,
+    stay in the calling thread and are skipped for constants.
+    """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ValueError(
             f"layer_norm: gain/bias must have shape ({d},), "
             f"got {gain.shape} and {bias.shape}")
-    mu = np.mean(x.data, axis=-1, keepdims=True)
-    var = np.var(x.data, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    gd = gain.data
+    gd, bd = gain.data, bias.data
+
+    def forward(xs, out=(None, None, None)):
+        mu = np.mean(xs, axis=-1, keepdims=True)
+        var = np.var(xs, axis=-1, keepdims=True)
+        inv = np.divide(1.0, np.sqrt(var + eps), out=out[2])
+        xhat = np.multiply(xs - mu, inv, out=out[1])
+        return np.add(gd * xhat, bd, out=out[0]), xhat, inv
+
+    def input_grad(g, xhat, inv, out=None):
+        gi = g * gd
+        return np.multiply(
+            inv, gi - np.mean(gi, axis=-1, keepdims=True)
+            - xhat * np.mean(gi * xhat, axis=-1, keepdims=True), out=out)
+
+    shape = x.shape
+    y, xhat, inv = _split_leading(
+        forward, [shape, shape, shape[:-1] + (1,)], x.data)
     reduce_axes = tuple(range(x.ndim - 1))
+    # bwd holds no input tensor, so x's array is freed once no other
+    # node needs it.
+    want_gg, want_gb = gain.requires_grad, bias.requires_grad
 
     def bwd(g):
-        gg = np.sum(g * xhat, axis=reduce_axes)
-        gb = np.sum(g, axis=reduce_axes)
-        gi = g * gd
-        gx = inv * (gi - np.mean(gi, axis=-1, keepdims=True)
-                    - xhat * np.mean(gi * xhat, axis=-1, keepdims=True))
-        return (gx, gg, gb)
+        gg = np.sum(g * xhat, axis=reduce_axes) if want_gg else None
+        gb = np.sum(g, axis=reduce_axes) if want_gb else None
+        return (_split_leading(input_grad, shape, g, xhat, inv), gg, gb)
 
-    return _emit("layer_norm", (x, gain, bias), gd * xhat + bias.data, bwd)
+    return _emit("layer_norm", (x, gain, bias), y, bwd)
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:

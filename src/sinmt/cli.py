@@ -219,10 +219,12 @@ def _keep_freed_heap_mapped() -> None:
     training step (one BLAS thread, 2-core x86-64). With trimming held
     off and the mmap threshold fixed at its dynamic ceiling, the freed
     heap stays mapped and is reused. glibc is also held to one arena:
-    attention and gelu allocate scratch in worker threads, which would
-    otherwise each get an arena of their own, so memory freed in one
-    thread could not serve the next allocation in another and the
-    peak resident size grows. Does nothing without glibc.
+    every op that splits its batch across CPUs (conv1d, layer norm,
+    attention, gelu, add and the linear layers' matmul) allocates
+    temporaries in worker threads, which would otherwise each get an
+    arena of their own, so memory freed in one thread could not serve
+    the next allocation in another and the peak resident size grows.
+    Does nothing without glibc.
     """
     try:
         mallopt = ctypes.CDLL("libc.so.6").mallopt

@@ -8,13 +8,14 @@ test never supplies its own expected values.
 """
 
 import inspect
-import sys
 import threading
+import time
 import weakref
 import zlib
 
 import numpy as np
 import pytest
+from scipy.special import erf
 from scipy.stats import norm
 
 from sinmt import autodiff as ad
@@ -257,46 +258,148 @@ def taped_gelu(x):
     return [out.data, tape.grad(leaf)]
 
 
-class TestWorkerCount:
-    """attention and gelu split their batch into one share per usable
-    CPU; each share does the same float operations, so nothing may
-    depend on the share count."""
+def taped_op(op, arrays, wants_grad):
+    """``op`` on tensors of ``arrays`` under a tape, the loss a seeded
+    projection of its output: the output, then the gradient of each
+    input whose ``wants_grad`` flag is set, then those gradients'
+    strides."""
+    leaves = [ad.Tensor(a, requires_grad=w)
+              for a, w in zip(arrays, wants_grad)]
+    with ad.Tape() as tape:
+        out = op(*leaves)
+        proj = np.random.default_rng(out.size).normal(size=out.shape)
+        loss = ad.reduce_sum(ad.mul(out, ad.Tensor(proj)))
+    tape.backward(loss)
+    grads = [tape.grad(t) for t, w in zip(leaves, wants_grad) if w]
+    return [out.data] + grads + [np.array(g.strides) for g in grads]
 
-    @staticmethod
-    def across_counts(monkeypatch, run):
-        """``run()``'s results at share counts 1, 2 and 3, with the
-        interpreter switching threads as often as it can, so that shares
-        interleave even where there are fewer cores than shares."""
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = []
-            for count in (1, 2, 3):
-                monkeypatch.setattr(ad, "_worker_count", lambda: count)
-                results.append(run())
-        finally:
-            sys.setswitchinterval(interval)
-        return results
+
+def assert_all_equal(results):
+    """Every run's arrays are bit-equal to the first run's."""
+    one, *more = results
+    for other in more:
+        assert len(other) == len(one)
+        for a, b in zip(one, other):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
+class TestWorkerCount:
+    """Ops on frame tensors split their batch into one share per usable
+    CPU; each share does the same float operations, so nothing may
+    depend on the share count (``across_counts`` runs 1, 2 and 3)."""
 
     @pytest.mark.parametrize("record", [True, False])
     @pytest.mark.parametrize("batch", [1, 11])
-    def test_attention_bit_identical_across_counts(self, monkeypatch,
+    def test_attention_bit_identical_across_counts(self, across_counts,
                                                    batch, record):
-        one, *more = self.across_counts(
-            monkeypatch, lambda: head_split_attention(batch, record))
+        one, *more = across_counts(
+            lambda: head_split_attention(batch, record))
         assert len(one) == (7 if record else 1)
         for other in more:
             for a, b in zip(one, other):
                 assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("shape", [(11, 16, 40), (1003,), ()])
-    def test_gelu_bit_identical_across_counts(self, monkeypatch, shape):
+    def test_gelu_bit_identical_across_counts(self, across_counts, shape):
         x = np.random.default_rng(3).normal(0, 2, size=shape)
-        one, *more = self.across_counts(monkeypatch, lambda: taped_gelu(x))
+        one, *more = across_counts(lambda: taped_gelu(x))
         for other in more:
             for a, b in zip(one, other):
                 assert a.shape == shape
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_gelu_backward_bit_identical_across_counts(self, across_counts,
+                                                       transposed):
+        """The backward product is split when the upstream gradient is
+        C-contiguous and computed whole when it is not (here it comes
+        through a transpose); both equal g · (Φ(x) + x·φ(x)) as numpy
+        computes it whole."""
+        x = np.random.default_rng(4).normal(0, 2, size=(11, 16, 40))
+
+        def op(t):
+            out = ad.gelu(t)
+            return ad.transpose(out, (0, 2, 1)) if transposed else out
+
+        results = across_counts(lambda: taped_op(op, [x], [True]))
+        assert_all_equal(results)
+        out, grad, _ = results[0]
+        g = np.random.default_rng(out.size).normal(size=out.shape)
+        if transposed:
+            g = g.transpose(0, 2, 1)
+        cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+        deriv = np.exp(-0.5 * x * x)
+        deriv *= 1.0 / np.sqrt(2.0 * np.pi)
+        deriv *= x
+        deriv += cdf
+        assert np.array_equal(grad, g * deriv)
+
+    @pytest.mark.parametrize("signal_grad", [True, False])
+    @pytest.mark.parametrize("batch", [1, 11])
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_conv1d_bit_identical_across_counts(self, across_counts, stride,
+                                                batch, signal_grad):
+        rng = np.random.default_rng(stride)
+        x = rng.normal(size=(batch, 3, 61))
+        w = rng.normal(size=(5, 3, 7))
+        results = across_counts(lambda: taped_op(
+            lambda s, k: ad.conv1d(s, k, stride), [x, w],
+            [signal_grad, True]))
+        assert len(results[0]) == (5 if signal_grad else 3)
+        assert_all_equal(results)
+
+    @pytest.mark.parametrize("shape", [(11, 25 * 8), (11, 25, 8), (1, 25, 8)])
+    def test_layer_norm_bit_identical_across_counts(self, across_counts,
+                                                    shape):
+        rng = np.random.default_rng(len(shape))
+        x = rng.normal(1.0, 3.0, size=shape)
+        gain, bias = rng.normal(size=(2, shape[-1]))
+        results = across_counts(lambda: taped_op(
+            ad.layer_norm, [x, gain, bias], [True, True, True]))
+        assert_all_equal(results)
+
+    @pytest.mark.parametrize("batch", [1, 11])
+    def test_matmul_bit_identical_across_counts(self, across_counts, batch):
+        rng = np.random.default_rng(batch)
+        a = rng.normal(size=(batch, 25, 8))
+        b = rng.normal(size=(8, 6))
+        results = across_counts(
+            lambda: taped_op(ad.matmul, [a, b], [True, True]))
+        assert_all_equal(results)
+
+    @pytest.mark.parametrize("frames_first", [True, False])
+    @pytest.mark.parametrize("other", [(8,), (1, 5, 1), (11, 5, 8), ()])
+    def test_add_bit_identical_across_counts(self, across_counts, other,
+                                             frames_first):
+        rng = np.random.default_rng(len(other))
+        arrays = [rng.normal(size=(11, 5, 8)), rng.normal(size=other)]
+        if not frames_first:
+            arrays.reverse()
+        results = across_counts(
+            lambda: taped_op(ad.add, arrays, [True, True]))
+        assert_all_equal(results)
+        assert np.array_equal(results[0][0], arrays[0] + arrays[1])
+
+    def test_a_strided_operand_keeps_numpys_layout(self, across_counts):
+        """An op whose per-item operand is not C-contiguous runs whole,
+        so its result has the layout numpy gives it at every count."""
+        rng = np.random.default_rng(7)
+        frames = rng.normal(size=(11, 8, 5)).transpose(0, 2, 1)
+        bias, gain = rng.normal(size=(2, 8))
+        for op, arrays, want in [
+                (ad.add, [frames, bias], frames + bias),
+                (ad.gelu, [frames],
+                 frames * (0.5 * (1.0 + erf(frames * (1.0 / np.sqrt(2.0)))))),
+                (lambda x, g: ad.layer_norm(x, g, ad.Tensor(bias)),
+                 [frames, gain], None)]:
+            results = across_counts(
+                lambda: taped_op(op, arrays, [True] * len(arrays)))
+            assert_all_equal(results)
+            for out, *_ in results:
+                assert out.strides == frames.strides
+            if want is not None:
+                assert np.array_equal(results[0][0], want)
 
     def test_shares_cover_the_batch_once(self, monkeypatch):
         monkeypatch.setattr(ad, "_worker_count", lambda: 3)
@@ -325,6 +428,91 @@ class TestWorkerCount:
         with pytest.raises(ArithmeticError, match="share 3:7"):
             ad._in_shares(11, work)
         assert sorted(done) == [0, 7]  # the other shares ran to the end
+
+    def test_small_ops_stay_in_the_caller(self, monkeypatch):
+        """Below ``_SPLIT_MIN_SIZE`` output elements nothing is handed
+        to a worker, and the result is the whole-array computation."""
+        monkeypatch.setattr(ad, "_worker_count", lambda: 3)
+
+        def no_split(n, work):
+            raise AssertionError("split a small op")
+
+        monkeypatch.setattr(ad, "_in_shares", no_split)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(2, 8, 40))
+        w = rng.normal(size=(40, 6))
+        for op, arrays, want in [
+                (ad.add, [x, w[:, 0]], x + w[:, 0]),
+                (ad.matmul, [x, w], np.matmul(x, w)),
+                (lambda t: ad.layer_norm(t, ad.Tensor(np.ones(40)),
+                                         ad.Tensor(np.zeros(40))), [x],
+                 (x - x.mean(-1, keepdims=True))
+                 * (1.0 / np.sqrt(x.var(-1, keepdims=True) + 1e-5))),
+                (ad.gelu, [x],
+                 x * (0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))))]:
+            out = taped_op(op, arrays, [True] * len(arrays))[0]
+            assert np.array_equal(out, want)
+
+    def test_workers_are_reused_across_calls(self, monkeypatch):
+        monkeypatch.setattr(ad, "_worker_count", lambda: 3)
+        caller = threading.get_ident()
+
+        def workers():
+            ran = []
+            ad._in_shares(11, lambda lo, hi: ran.append(
+                (lo, threading.get_ident())))
+            return [ident for lo, ident in sorted(ran) if lo]
+
+        first = workers()
+        assert len(set(first)) == 2 and caller not in first
+        threads = threading.active_count()
+        for _ in range(20):
+            assert workers() == first
+        assert threading.active_count() == threads
+
+    def test_a_caller_share_error_waits_for_the_others(self, monkeypatch):
+        monkeypatch.setattr(ad, "_worker_count", lambda: 3)
+        done = []
+
+        def work(lo, hi):
+            if lo == 0:
+                raise ArithmeticError("caller's share")
+            time.sleep(0.05)
+            done.append(lo)
+
+        with pytest.raises(ArithmeticError, match="caller's share"):
+            ad._in_shares(11, work)
+        assert sorted(done) == [3, 7]
+
+
+class TestUnreadGradients:
+    """A backward function computes no gradient for an input that does
+    not require one."""
+
+    @staticmethod
+    def backward_of(out, tape):
+        """The recorded node's gradients for a ones upstream gradient."""
+        return tape._nodes[out.node_id].backward_fn(np.ones(out.shape))
+
+    def test_conv1d_skips_a_constant_signal(self):
+        rng = np.random.default_rng(0)
+        x = ad.Tensor(rng.normal(size=(2, 1, 40)))
+        w = ad.Tensor(rng.normal(size=(4, 1, 8)), requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.conv1d(x, w, stride=4)
+        gx, gw = self.backward_of(out, tape)
+        assert gx is None
+        assert gw.shape == w.shape
+
+    def test_layer_norm_skips_constant_gain_and_bias(self):
+        x = ad.Tensor(np.random.default_rng(1).normal(size=(3, 10)),
+                      requires_grad=True)
+        with ad.Tape() as tape:
+            out = ad.layer_norm(x, ad.Tensor(np.ones(10)),
+                                ad.Tensor(np.zeros(10)))
+        gx, gg, gb = self.backward_of(out, tape)
+        assert gg is None and gb is None
+        assert gx.shape == x.shape
 
 
 class TestBackward:
@@ -402,6 +590,19 @@ class TestBackward:
         tape.backward(loss)
         assert [r() for r in refs] == [None, None]
         np.testing.assert_array_equal(tape.grad(x), 2.0 * x.data)
+
+    def test_layer_norm_node_does_not_hold_its_input(self):
+        """layer_norm keeps x̂ and 1/σ for backward, so the array it
+        normalized is freed when nothing else holds it."""
+        leaf = ad.Tensor(np.random.default_rng(2).normal(size=(4, 10)),
+                         requires_grad=True)
+        with ad.Tape():
+            h = ad.scale(leaf, 2.0)
+            ref = weakref.ref(h.data)
+            ad.layer_norm(h, ad.Tensor(np.ones(10), requires_grad=True),
+                          ad.Tensor(np.zeros(10)))
+            del h
+        assert ref() is None
 
     def test_non_scalar_loss_rejected(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)

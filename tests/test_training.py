@@ -304,6 +304,42 @@ class TestTrainStep:
                     net_a.params.state()[name], net_b.params.state()[name],
                     err_msg=name)
 
+    def test_spk_step_bit_identical_across_share_counts(self, across_counts,
+                                                        monkeypatch):
+        """A default-size spk step at B = 11 x 2000 samples: the losses,
+        every gradient (with its strides) and every updated parameter
+        are the same whatever the number of shares the ops split into."""
+        rng = np.random.default_rng(2000)
+        batch = tr.Batch(waveforms=rng.normal(size=(11, 2000)) * 0.3,
+                         spoof_labels=rng.integers(0, 2, size=11),
+                         speaker_labels=rng.integers(0, 16, size=11))
+        cfg = tr.TrainConfig(mode="spk")
+        grads = {}
+        optimizer_step = ad.optimizer_step
+
+        def recording_step(params, g, state):
+            grads.update(g)
+            optimizer_step(params, g, state)
+
+        monkeypatch.setattr(ad, "optimizer_step", recording_step)
+
+        def step():
+            net = md.SInMTNetwork("spk", n_speakers=16, seed=0)
+            opt = ad.OptimizerState.adam(net.params, lr=cfg.learning_rate)
+            losses = tr.train_step(net, batch, cfg, opt)
+            return ([np.array(v) for _, v in sorted(losses.items())]
+                    + [grads[n] for n in sorted(grads)]
+                    + [np.array(grads[n].strides) for n in sorted(grads)]
+                    + [p.data for _, p in sorted(net.params.items())])
+
+        one, *more = across_counts(step)
+        assert len(one) == 3 + 3 * len(md.SInMTNetwork(
+            "spk", n_speakers=16, seed=0).params)
+        for other in more:
+            for a, b in zip(one, other):
+                assert a.shape == b.shape
+                assert np.array_equal(a, b)
+
     def test_non_finite_loss_aborts(self):
         net = tiny_network("baseline")
         batch = tr.Batch(np.full((1, 200), np.nan), np.array([0]), None)
