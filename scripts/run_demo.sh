@@ -4,7 +4,7 @@
 #   2. spk      — cooperative multi-task (speaker head sharpens identity)
 #   3. ivspk    — adversarial multi-task (gradient reversal suppresses
 #                 identity), warm-started from the spk checkpoint
-# The same cascade took 494 s and 500 s (about 8 min) in two runs as
+# The same cascade took 556-590 s (about 10 min) in four runs as
 # acceptance criterion 6 on a 2-core machine with two BLAS threads.
 # Results depend on the BLAS thread count (OPENBLAS_NUM_THREADS).
 set -eu

@@ -10,15 +10,16 @@ runs at most once: the sweep drops it, with the forward values it
 captured, as it passes the node, so the backward pass reuses their
 memory instead of adding to it.
 
-Per-item ops (conv1d, layer norm, attention, gelu, add, and matmul of
-a (B, T, D) stack by a matrix) split their leading, per-item axis into
-one share per usable CPU (``_in_shares``, on persistent worker
-threads); all but attention go through ``_split_leading``, which keeps
-a small op whole, in the calling thread. An item gets the same float
-operations whatever the split, and sums across the batch (conv1d's
-kernel gradient, layer norm's gain and bias gradients, broadcast sums)
-stay in the calling thread, so results do not depend on the number of
-CPUs.
+Per-item ops (conv1d, layer norm, attention, gelu, add, the layer mix,
+matmul of a (B, T, D) stack by a matrix, and the tape's sum of two
+gradients of one tensor) split their leading axis into one share per
+usable CPU (``_in_shares``, on persistent worker threads); all but
+attention go through ``_split_leading``, which keeps a small op whole,
+in the calling thread. An item gets the same float operations whatever
+the split, and sums across the batch (conv1d's kernel gradient, layer
+norm's gain and bias gradients, the layer-mix weights' gradients,
+broadcast sums) stay in the calling thread, so results do not depend
+on the number of CPUs.
 
 The module also carries the one parameter update, ``optimizer_step``
 (plain gradient descent or Adam, after a missing- and non-finite-gradient
@@ -158,7 +159,9 @@ class Tape:
         every op node's ``backward_fn`` as it passes the node, after
         running it once if a gradient reached the node, so the forward
         values it captured are freed during the sweep; an op node's
-        gradient is freed once its ``backward_fn`` has used it. Returns
+        gradient is freed once its ``backward_fn`` has used it. A second
+        gradient reaching a node is added in shares
+        (``_split_leading``). Returns
         the leaves' node-id -> gradient map (also ``self.gradients``);
         the tape is then finalized and cannot record further operations.
         """
@@ -180,7 +183,9 @@ class Tape:
             for in_id, in_g in zip(node.input_ids, bwd(g)):
                 if in_id is None or in_g is None:
                     continue
-                grads[in_id] = grads[in_id] + in_g if in_id in grads else in_g
+                if in_id in grads:
+                    in_g = _split_leading(np.add, None, grads[in_id], in_g)
+                grads[in_id] = in_g
         self.gradients = grads
         self._finalized = True
         return grads
@@ -448,7 +453,6 @@ def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
         raise ValueError(
             f"conv1d: signal length {L} shorter than kernel length {K}")
     T = (L - K) // stride + 1
-    xd = signal.data
     wmat = kernel.data.reshape(O, C * K)
     want_gx = signal.requires_grad
 
@@ -463,13 +467,13 @@ def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
         np.copyto(y, np.matmul(cols, wmat.T).transpose(0, 2, 1))
         return cols, y
 
-    cols, out = _split_leading(forward, [(B, T, C * K), (B, O, T)], xd)
+    cols, out = _split_leading(forward, [(B, T, C * K), (B, O, T)],
+                               signal.data)
 
-    def signal_grad(gt, x, out=None):
-        """The signal's gradient for (a share of) the batch: ``gt`` is
-        the (b, T, O) output gradient, and the result has ``x``'s
-        layout."""
-        gx = np.empty_like(x) if out is None else out
+    def signal_grad(gt, out=None):
+        """The signal's (b, C, L) gradient for (a share of) the batch,
+        C-contiguous: ``gt`` is the (b, T, O) output gradient."""
+        gx = np.empty((len(gt), C, L)) if out is None else out
         gx.fill(0.0)
         gcols = np.matmul(gt, wmat).reshape(len(gt), T, C, K)
         gcols = gcols.transpose(0, 2, 1, 3)                     # (b, C, T, K)
@@ -484,7 +488,7 @@ def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
               @ cols.reshape(B * T, C * K)).reshape(O, C, K)
         if not want_gx:
             return (None, gw)
-        return (_split_leading(signal_grad, xd.shape, gt, xd), gw)
+        return (_split_leading(signal_grad, (B, C, L), gt), gw)
 
     return _emit("conv1d", (signal, kernel), out, bwd)
 
@@ -546,8 +550,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     spreads the utterances over the usable CPUs. Each utterance gets the
     unfused matmul → scale → softmax → matmul chain's float operations
     in the same order, so the output and the gradients are bit-identical
-    to it whatever the number of CPUs. Only the probabilities are kept
-    for backward, and only when a node is recorded.
+    to it whatever the number of CPUs. The node keeps only each row's
+    softmax max and sum, (B, H, T, 1) each, and backward rebuilds an
+    utterance's probabilities from them with the forward's own
+    operations (recomputation, as in FlashAttention), so they come out
+    bit for bit the same.
     """
     if q.ndim != 4 or not q.shape == k.shape == v.shape:
         raise ValueError(
@@ -556,19 +563,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     B, H, T, d = q.shape
     c = float(1.0 / np.sqrt(d))
     qd, kd, vd = q.data, k.data, v.data
-    p = np.empty((B, H, T, T)) if _recording((q, k, v)) else None
+    row_max, row_sum = np.empty((B, H, T, 1)), np.empty((B, H, T, 1))
     out = np.empty((B, H, T, d))
 
+    def scores(b, p):
+        """Utterance ``b``'s scores, q kᵀ times 1/√d, into ``p``."""
+        np.matmul(qd[b], np.swapaxes(kd[b], -1, -2), out=p)
+        p *= c
+
     def forward(lo, hi):
-        scratch = np.empty((H, T, T)) if p is None else None
+        p = np.empty((H, T, T))
         for b in range(lo, hi):
-            pb = scratch if p is None else p[b]
-            np.matmul(qd[b], np.swapaxes(kd[b], -1, -2), out=pb)
-            pb *= c
-            pb -= np.max(pb, axis=-1, keepdims=True)
-            np.exp(pb, out=pb)
-            pb /= np.sum(pb, axis=-1, keepdims=True)
-            np.matmul(pb, vd[b], out=out[b])
+            scores(b, p)
+            row_max[b] = np.max(p, axis=-1, keepdims=True)
+            p -= row_max[b]
+            np.exp(p, out=p)
+            row_sum[b] = np.sum(p, axis=-1, keepdims=True)
+            p /= row_sum[b]
+            np.matmul(p, vd[b], out=out[b])
 
     _in_shares(B, forward)
 
@@ -580,13 +592,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         dkt = np.empty((B, H, d, T))
 
         def backward(lo, hi):
-            dp = np.empty((H, T, T))
+            p, dp = np.empty((H, T, T)), np.empty((H, T, T))
             for b in range(lo, hi):
-                pb, gb = p[b], g[b]
-                np.matmul(np.swapaxes(pb, -1, -2), gb, out=dv[b])
+                scores(b, p)
+                p -= row_max[b]
+                np.exp(p, out=p)
+                p /= row_sum[b]
+                gb = g[b]
+                np.matmul(np.swapaxes(p, -1, -2), gb, out=dv[b])
                 np.matmul(gb, np.swapaxes(vd[b], -1, -2), out=dp)
-                dp -= np.sum(dp * pb, axis=-1, keepdims=True)
-                dp *= pb
+                dp -= np.sum(dp * p, axis=-1, keepdims=True)
+                dp *= p
                 dp *= c
                 np.matmul(dp, kd[b], out=dq[b])
                 np.matmul(np.swapaxes(qd[b], -1, -2), dp, out=dkt[b])
@@ -664,6 +680,43 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, shape).copy(),)
 
     return _emit("sum", (x,), np.sum(x.data, axis=axis, keepdims=keepdims), bwd)
+
+
+def layer_mix(stack: Tensor, weights: Tensor) -> Tensor:
+    """Σ_l weights[l] · stack[l]: a (L, ...) stack mixed into one layer.
+
+    ``weights`` is (L,). The forward and the stack's gradient are
+    elementwise and split across CPUs (``_split_leading``). Each item
+    gets the operations of ``reduce_sum(mul(stack, w), axis=0)`` with
+    ``w`` the weights as (L, 1, ...), in the same order: the sum starts
+    from +0.0 and adds the layers in turn, as numpy's axis-0 sum does,
+    and each weight's gradient is one sum over the whole product of the
+    output gradient and its layer, the broadcast sum's pairwise order.
+    """
+    if (weights.ndim != 1 or stack.ndim < 2
+            or weights.shape[0] != stack.shape[0]):
+        raise ValueError(
+            f"layer_mix: expected a (L, ...) stack and (L,) weights, "
+            f"got {stack.shape} and {weights.shape}")
+    sd, wd = stack.data, weights.data
+    as_stack = wd.reshape((-1,) + (1,) * (stack.ndim - 1))
+
+    def mix(*layers, out=None):
+        if out is None:
+            out = np.zeros(layers[0].shape)
+        else:
+            out.fill(0.0)
+        for x, w in zip(layers, wd):
+            out += x * w
+        return out
+
+    def bwd(g):
+        gw = np.array([np.sum(_split_leading(np.multiply, None, g, x))
+                       for x in sd])
+        return (_split_leading(np.multiply, None, g, as_stack), gw)
+
+    return _emit("layer_mix", (stack, weights),
+                 _split_leading(mix, sd.shape[1:], *sd), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -152,18 +152,11 @@ def mhfa_pool(stack: ad.Tensor, params: ad.ParameterSet, prefix: str):
     L), key_proj (D, d_k), value_proj (D, d_v), head_queries (d_k, H),
     embed_proj (H*d_v, d_e), cls_w (d_e, C), cls_b (C,).
     """
-    n_layers, B, _, _ = stack.shape
-    mix_k = params[f"{prefix}.layer_mix_k"]
-    mix_v = params[f"{prefix}.layer_mix_v"]
-    if mix_k.shape[0] != n_layers:
-        raise ValueError(
-            f"{prefix}: stack has {n_layers} layers but layer weights "
-            f"expect {mix_k.shape[0]}")
-
-    wk = ad.reshape(ad.softmax(mix_k, axis=0), (n_layers, 1, 1, 1))
-    wv = ad.reshape(ad.softmax(mix_v, axis=0), (n_layers, 1, 1, 1))
-    keys = ad.reduce_sum(ad.mul(stack, wk), axis=0)
-    values = ad.reduce_sum(ad.mul(stack, wv), axis=0)
+    B = stack.shape[1]
+    keys = ad.layer_mix(
+        stack, ad.softmax(params[f"{prefix}.layer_mix_k"], axis=0))
+    values = ad.layer_mix(
+        stack, ad.softmax(params[f"{prefix}.layer_mix_v"], axis=0))
 
     keys_c = ad.matmul(keys, params[f"{prefix}.key_proj"])
     values_c = ad.matmul(values, params[f"{prefix}.value_proj"])

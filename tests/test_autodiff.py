@@ -10,6 +10,7 @@ test never supplies its own expected values.
 import inspect
 import threading
 import time
+import tracemalloc
 import weakref
 import zlib
 
@@ -100,6 +101,8 @@ PRIMITIVE_CASES = {
         [_leaf(r, 4, 6),
          ad.Tensor(r.uniform(0.5, 1.5, size=6), requires_grad=True),
          _leaf(r, 6)]))],
+    "layer_mix": [("layer_mix", lambda r: (
+        ad.layer_mix, [_leaf(r, 3, 2, 4, 5), _leaf(r, 3)]))],
     "reduce_sum": [("sum_axis_keepdims", lambda r: (
         lambda a: ad.reduce_sum(a, axis=1, keepdims=True),
         [_leaf(r, 3, 4, 2)]))],
@@ -180,6 +183,9 @@ class TestForwardPrimitives:
         with pytest.raises(ValueError, match="channel"):
             ad.conv1d(ad.Tensor(np.zeros((1, 2, 9))),
                       ad.Tensor(np.zeros((1, 3, 4))))
+        with pytest.raises(ValueError, match=r"\(3, 2, 4\).*\(2,\)"):
+            ad.layer_mix(ad.Tensor(np.zeros((3, 2, 4))),
+                         ad.Tensor(np.zeros(2)))
 
     def test_forward_is_finite_on_finite_inputs(self):
         rng = np.random.default_rng(11)
@@ -239,6 +245,28 @@ class TestAttention:
                    for _ in range(3))
         assert np.array_equal(ad.attention(q, k, v).data,
                               unfused_attention(q, k, v).data)
+
+    def test_a_recorded_node_keeps_no_probabilities(self):
+        """Backward rebuilds the probabilities from each row's max and
+        sum, so between forward and backward the node holds those
+        (64 kB here) and its output, not the (4, 4, 250, 250)
+        probabilities' 8 MB."""
+        rng = np.random.default_rng(8)
+        q, k, v = (ad.Tensor(rng.normal(size=(4, 4, 250, 8)),
+                             requires_grad=True) for _ in range(3))
+        tracemalloc.start()
+        try:
+            with ad.Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                out = ad.attention(q, k, v)
+                kept = (tracemalloc.get_traced_memory()[0] - before
+                        - out.data.nbytes)
+                loss = ad.reduce_sum(out)
+        finally:
+            tracemalloc.stop()
+        assert kept < 2 * 2**20
+        tape.backward(loss)
+        assert tape.grad(q).shape == q.shape
 
     def test_shape_mismatch_names_all_shapes(self):
         a = ad.Tensor(np.zeros((1, 2, 5, 3)))
@@ -366,6 +394,36 @@ class TestWorkerCount:
         b = rng.normal(size=(8, 6))
         results = across_counts(
             lambda: taped_op(ad.matmul, [a, b], [True, True]))
+        assert_all_equal(results)
+
+    @pytest.mark.parametrize("batch", [1, 11])
+    def test_layer_mix_bit_identical_across_counts(self, across_counts,
+                                                   batch):
+        """At every count, output and gradients equal the mul →
+        reduce_sum chain's, bits and strides; a sum of -0.0 terms is
+        +0.0, as numpy's axis-0 sum gives it."""
+        rng = np.random.default_rng(batch)
+        stack = rng.normal(size=(3, batch, 25, 8))
+        stack[:, 0, 0] = -0.0
+        weights = rng.dirichlet(np.ones(3))
+
+        def chain(s, w):
+            return ad.reduce_sum(ad.mul(s, ad.reshape(w, (3, 1, 1, 1))),
+                                 axis=0)
+
+        results = across_counts(lambda: taped_op(
+            ad.layer_mix, [stack, weights], [True, True]))
+        want = taped_op(chain, [stack, weights], [True, True])
+        assert_all_equal(results + [want])
+        assert not np.signbit(results[0][0][0, 0]).any()
+
+    def test_gradients_reaching_a_node_twice_add_in_shares(
+            self, across_counts):
+        """Two consumers' gradients of one tensor are summed as numpy's
+        whole add sums them, at every count."""
+        x = np.random.default_rng(9).normal(size=(11, 5, 8))
+        results = across_counts(lambda: taped_op(
+            lambda t: ad.add(ad.gelu(t), ad.scale(t, 0.3)), [x], [True]))
         assert_all_equal(results)
 
     @pytest.mark.parametrize("frames_first", [True, False])

@@ -11,6 +11,8 @@ Oracles:
     through the warm-start path.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -347,6 +349,25 @@ class TestTrainStep:
         opt = ad.OptimizerState.sgd(lr=0.1)
         with pytest.raises(ad.NumericsError, match="loss"):
             tr.train_step(net, batch, cfg, opt, np.ones(2))
+
+    def test_default_step_peak_memory(self):
+        """A default-config step (32 clips of 4000 samples, 250 frames)
+        peaks below 160 MB of traced memory. Attention keeps each row's
+        softmax statistics, not its (32, 4, 250, 250) probabilities, so
+        each layer holds 0.5 MB there instead of 64 MB."""
+        rng = np.random.default_rng(12)
+        net = md.SInMTNetwork("baseline", seed=0)
+        batch = tr.Batch(rng.normal(size=(32, 4000)) * 0.3,
+                         rng.integers(0, 2, size=32), None)
+        cfg = tr.TrainConfig()
+        opt = ad.OptimizerState.adam(net.params, lr=cfg.learning_rate)
+        tracemalloc.start()
+        try:
+            tr.train_step(net, batch, cfg, opt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160e6
 
     def test_empty_batch_rejected(self):
         net = tiny_network("baseline")
