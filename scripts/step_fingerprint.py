@@ -20,8 +20,13 @@ sizes 11 and 32 and lengths 2000 and 4000 samples. For each it records
 the inference outputs on the batch, then two Adam ``train_step``s and,
 on a fresh network, one SGD ``train_step``: for each step its losses,
 every gradient with its strides, and every parameter after the update.
-The script prints each array that differs between the two sides, and
-exits 1 if any does, 0 otherwise.
+A last case runs ``training.train`` end to end, so the data path
+(waveform reads, cropping, augmentation, dev scoring) is compared too:
+ivspk for 2 epochs with augmentation, on a small corpus from
+``generate_corpus`` whose dev split has both classes; it records the
+history, the best epoch and the returned parameters. The script prints
+each array that differs between the two sides, and exits 1 if any
+does, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ MODES = ("baseline", "spk", "ivspk")
 SHAPES = ((11, 2000), (11, 4000), (32, 2000), (32, 4000))
 N_SPEAKERS = 20
 STEPS = 2
+TRAIN_CORPUS = {"n_speakers": 5, "utterances_per_speaker": 12, "seed": 5}
 
 
 def record(src: str, out: str, shares: int | None = None) -> None:
@@ -48,6 +54,7 @@ def record(src: str, out: str, shares: int | None = None) -> None:
     sys.path.insert(0, src)
     from sinmt import autodiff as ad
     from sinmt import model as md
+    from sinmt import synthdata as sd
     from sinmt import training as tr
 
     if shares is not None:
@@ -99,6 +106,23 @@ def record(src: str, out: str, shares: int | None = None) -> None:
             step(md.SInMTNetwork(mode, n_speakers=N_SPEAKERS, seed=0), batch,
                  config, ad.OptimizerState.sgd(config.learning_rate),
                  f"{case}/sgd")
+
+    with tempfile.TemporaryDirectory() as corpus_dir:
+        manifest = sd.generate_corpus(sd.CorpusConfig(**TRAIN_CORPUS),
+                                      corpus_dir)
+        if len({r.label for r in manifest.split_records("dev")}) != 2:
+            raise RuntimeError("the train case's dev split lacks a class")
+        result = tr.train(tr.TrainConfig(
+            mode="ivspk", alpha=0.1, fold_alpha_into_lambda=True,
+            epochs=2, batch_size=8, clip_len=2000, augment=True),
+            manifest)
+    for r in result.history:
+        arrays[f"train/history/epoch{r.epoch}"] = np.array(
+            [r.spoof_loss, r.speaker_loss, r.total_loss, r.dev_eer,
+             r.dev_speaker_accuracy])
+    arrays["train/best_epoch"] = np.array(result.best_epoch)
+    for name, p in result.network.params.items():
+        arrays[f"train/param/{name}"] = p.data
     np.savez(out, **arrays)
 
 

@@ -436,6 +436,14 @@ def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
     CPUs (``_split_leading``); the kernel's gradient, a sum over the
     batch, is one GEMM in the calling thread. A signal that does not
     require gradients gets none.
+
+    Both passes contract (B, T, C·K) im2col columns, the strided windows
+    gathered into one array, in single BLAS products. The node keeps the
+    signal, not its columns, which are about K / stride times larger:
+    forward gathers a share's columns into scratch that dies with the
+    share, and backward gathers them again from the signal with the same
+    copy (recomputation, as in Chen et al., 2016) and frees them before
+    it takes the signal's gradient.
     """
     if signal.ndim != 3 or kernel.ndim != 3:
         raise ValueError(
@@ -453,22 +461,24 @@ def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
         raise ValueError(
             f"conv1d: signal length {L} shorter than kernel length {K}")
     T = (L - K) // stride + 1
+    xd = signal.data
     wmat = kernel.data.reshape(O, C * K)
     want_gx = signal.requires_grad
 
-    # im2col: gather the strided windows once so both passes are single
-    # BLAS contractions instead of K separate reductions.
-    def forward(x, out=None):
-        cols, y = out or (np.empty((len(x), T, C * K)),
-                          np.empty((len(x), O, T)))
+    def gather(x, out=None):
+        """The (b, T, C·K) im2col columns of (a share of) the signal."""
+        cols = np.empty((len(x), T, C * K)) if out is None else out
         win = np.lib.stride_tricks.sliding_window_view(x, K, axis=2)
         win = win[:, :, ::stride].transpose(0, 2, 1, 3)         # (b, T, C, K)
         np.copyto(cols.reshape(win.shape), win)
-        np.copyto(y, np.matmul(cols, wmat.T).transpose(0, 2, 1))
-        return cols, y
+        return cols
 
-    cols, out = _split_leading(forward, [(B, T, C * K), (B, O, T)],
-                               signal.data)
+    def forward(x, out=None):
+        y = np.empty((len(x), O, T)) if out is None else out
+        np.copyto(y, np.matmul(gather(x), wmat.T).transpose(0, 2, 1))
+        return y
+
+    out = _split_leading(forward, (B, O, T), xd)
 
     def signal_grad(gt, out=None):
         """The signal's (b, C, L) gradient for (a share of) the batch,
@@ -484,8 +494,10 @@ def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1) -> Tensor:
 
     def bwd(g):
         gt = np.ascontiguousarray(g.transpose(0, 2, 1))         # (B, T, O)
+        cols = _split_leading(gather, (B, T, C * K), xd)
         gw = (gt.reshape(B * T, O).T
               @ cols.reshape(B * T, C * K)).reshape(O, C, K)
+        del cols
         if not want_gx:
             return (None, gw)
         return (_split_leading(signal_grad, (B, C, L), gt), gw)

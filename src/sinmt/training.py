@@ -254,8 +254,9 @@ def _prepare_item(wav, record, config, augmenter, rng):
     return wav
 
 
-def _dev_metrics(network, records, waveforms, class_of, batch_size):
-    """(EER, speaker accuracy) on full-length utterances, no grads.
+def _dev_metrics(network, records, manifest, class_of, batch_size):
+    """(EER, speaker accuracy) on full-length utterances, no grads;
+    each utterance is read when its batch is built.
 
     The EER is the mean of per-attack EERs (each attack scored against
     all bona fide items). On a split this small the attack-averaged
@@ -265,7 +266,7 @@ def _dev_metrics(network, records, waveforms, class_of, batch_size):
     trials = []
     speaker_hits = speaker_total = 0
     for chunk, out in ev._forward_batches(
-            network, records, lambda r: waveforms[r.utt_id], batch_size):
+            network, records, manifest.load_waveform, batch_size):
         trials += ev._trials(chunk, out)
         if out.speaker_logits is not None:
             pred = np.argmax(out.speaker_logits.data, axis=1)
@@ -283,7 +284,10 @@ def train(config: TrainConfig, manifest: sd.CorpusManifest,
     """Seed-deterministic training with per-epoch shuffling, cropping,
     on-the-fly augmentation, dev-EER model selection, and early
     stopping. Never touches the eval split. The returned network holds
-    the parameters of the epoch with the best dev EER.
+    the parameters of the epoch with the best dev EER. Each utterance is
+    read from disk when its batch is built, every epoch, so memory holds
+    at most two batches of waveforms rather than the corpus, and a bad
+    waveform file raises when its batch is built.
 
     encoder/head override the network sizing for fresh networks; they
     are ignored when init_checkpoint supplies the architecture."""
@@ -324,8 +328,6 @@ def train(config: TrainConfig, manifest: sd.CorpusManifest,
                             for r in train_records]
         spoof_weights = inverse_frequency_weights(spoof_labels_all, 2)
 
-    waveforms = {r.utt_id: manifest.load_waveform(r)
-                 for r in train_records + dev_records}
     augmenter = sd.Augmenter(manifest.seed, manifest.n_speakers,
                              manifest.n_samples, manifest.sample_rate)
     if config.optimizer == "adam":
@@ -353,8 +355,8 @@ def train(config: TrainConfig, manifest: sd.CorpusManifest,
             for i in idx:
                 r = train_records[i]
                 rng = _item_rng(config.seed, epoch, int(i))
-                wavs.append(_prepare_item(waveforms[r.utt_id], r, config,
-                                          augmenter, rng))
+                wavs.append(_prepare_item(manifest.load_waveform(r), r,
+                                          config, augmenter, rng))
                 y_spoof.append(int(r.label != ev.BONAFIDE))
                 y_speaker.append(class_of[r.speaker_id])
             batch = Batch(
@@ -370,7 +372,7 @@ def train(config: TrainConfig, manifest: sd.CorpusManifest,
 
         mean_ls = sum_ls / n_items
         mean_ld = sum_ld / n_items
-        dev_eer, dev_acc = _dev_metrics(network, dev_records, waveforms,
+        dev_eer, dev_acc = _dev_metrics(network, dev_records, manifest,
                                         class_of, config.batch_size)
         record = LossRecord(epoch=epoch, spoof_loss=mean_ls,
                             speaker_loss=mean_ld,

@@ -662,6 +662,29 @@ class TestBackward:
             del h
         assert ref() is None
 
+    def test_conv1d_node_keeps_its_signal_not_its_columns(self):
+        """Backward gathers the im2col columns again from the signal, so
+        between forward and backward the node holds the signal (already
+        allocated here) and its output, not the (8, 499, 64) columns'
+        2 MB."""
+        rng = np.random.default_rng(9)
+        x = ad.Tensor(rng.normal(size=(8, 16, 1000)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(32, 16, 4)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with ad.Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                out = ad.conv1d(x, w, stride=2)
+                kept = (tracemalloc.get_traced_memory()[0] - before
+                        - out.data.nbytes)
+                loss = ad.reduce_sum(out)
+        finally:
+            tracemalloc.stop()
+        assert kept < 2**20
+        tape.backward(loss)
+        assert tape.grad(x).shape == x.shape
+        assert tape.grad(w).shape == w.shape
+
     def test_non_scalar_loss_rejected(self):
         x = ad.Tensor([1.0, 2.0], requires_grad=True)
         with ad.Tape() as tape:

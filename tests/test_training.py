@@ -12,6 +12,7 @@ Oracles:
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -352,9 +353,10 @@ class TestTrainStep:
 
     def test_default_step_peak_memory(self):
         """A default-config step (32 clips of 4000 samples, 250 frames)
-        peaks below 160 MB of traced memory. Attention keeps each row's
-        softmax statistics, not its (32, 4, 250, 250) probabilities, so
-        each layer holds 0.5 MB there instead of 64 MB."""
+        peaks below 160 MB of traced memory, at about 99 MB. Attention
+        keeps each row's softmax statistics, not its (32, 4, 250, 250)
+        probabilities, so each layer holds 0.5 MB there instead of
+        64 MB, and conv1d keeps its input, not its im2col columns."""
         rng = np.random.default_rng(12)
         net = md.SInMTNetwork("baseline", seed=0)
         batch = tr.Batch(rng.normal(size=(32, 4000)) * 0.3,
@@ -562,6 +564,34 @@ class TestTrainLoop:
         for name, value in res_clean.network.params.state().items():
             np.testing.assert_array_equal(
                 value, res_poisoned.network.params.state()[name])
+
+    def test_holds_at_most_two_batches_of_waveforms(
+            self, small_corpus, small_ckpts, monkeypatch):
+        """Each utterance is read when its batch is built, so no more
+        than two batches of loaded waveforms (the last training batch
+        and a dev batch) are alive at once, never the corpus."""
+        load = sd.CorpusManifest.load_waveform
+        alive = peak = 0
+
+        def release():
+            nonlocal alive
+            alive -= 1
+
+        def counted_load(manifest, record):
+            nonlocal alive, peak
+            wav = load(manifest, record)
+            alive += 1
+            peak = max(peak, alive)
+            weakref.finalize(wav, release)
+            return wav
+
+        monkeypatch.setattr(sd.CorpusManifest, "load_waveform",
+                            counted_load)
+        cfg = small_config("spk", small_ckpts, epochs=2)
+        tr.train(cfg, small_corpus)
+        records = [r for r in small_corpus.records if r.split != "eval"]
+        assert len(records) > 2 * cfg.batch_size
+        assert 0 < peak <= 2 * cfg.batch_size
 
     def test_empty_train_split_rejected(self, small_corpus):
         records = [r for r in small_corpus.records if r.split == "eval"]
