@@ -4,9 +4,8 @@
 #   2. spk      — cooperative multi-task (speaker head sharpens identity)
 #   3. ivspk    — adversarial multi-task (gradient reversal suppresses
 #                 identity), warm-started from the spk checkpoint
-# The same cascade took 556-590 s (about 10 min) in four runs as
-# acceptance criterion 6 on a 2-core machine with two BLAS threads.
-# Results depend on the BLAS thread count (OPENBLAS_NUM_THREADS).
+# The same cascade took 252-357 s (4-6 min) in three runs as acceptance
+# criterion 6 on a 2-core machine.
 set -eu
 
 WORK="${1:-runs/demo}"
@@ -34,12 +33,37 @@ cat > "$CFG_BASE" <<'JSON'
 JSON
 
 CFG_SPK="$WORK/experiment_spk.json"
-sed 's/"epochs": 60/"epochs": 30,\n    "alpha": 1.0/' \
-    "$CFG_BASE" > "$CFG_SPK"
+cat > "$CFG_SPK" <<'JSON'
+{
+  "train": {
+    "learning_rate": 0.0015,
+    "batch_size": 32,
+    "epochs": 30,
+    "alpha": 1.0,
+    "clip_len": 2000,
+    "seed": 0,
+    "patience": 100,
+    "augment": false
+  }
+}
+JSON
 
 CFG_IVSPK="$WORK/experiment_ivspk.json"
-sed 's/"epochs": 60/"epochs": 30,\n    "alpha": 0.1,\n    "fold_alpha_into_lambda": true/' \
-    "$CFG_BASE" > "$CFG_IVSPK"
+cat > "$CFG_IVSPK" <<'JSON'
+{
+  "train": {
+    "learning_rate": 0.0015,
+    "batch_size": 32,
+    "epochs": 30,
+    "alpha": 0.1,
+    "fold_alpha_into_lambda": true,
+    "clip_len": 2000,
+    "seed": 0,
+    "patience": 100,
+    "augment": false
+  }
+}
+JSON
 
 echo "== generating corpus =="
 sinmt gen --out "$WORK/corpus" --force

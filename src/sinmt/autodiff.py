@@ -19,7 +19,9 @@ in the calling thread. An item gets the same float operations whatever
 the split, and sums across the batch (conv1d's kernel gradient, layer
 norm's gain and bias gradients, the layer-mix weights' gradients,
 broadcast sums) stay in the calling thread, so results do not depend
-on the number of CPUs.
+on the number of CPUs. Importing the module sets numpy's bundled
+OpenBLAS to one thread for the whole process, so they do not depend on
+``OPENBLAS_NUM_THREADS`` either.
 
 The module also carries the one parameter update, ``optimizer_step``
 (plain gradient descent or Adam, after a missing- and non-finite-gradient
@@ -29,11 +31,13 @@ learning, and a finite-difference gradient checker.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import queue
 import threading
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -225,6 +229,30 @@ def _emit(op: str, inputs: Sequence[Tensor], out_data: Array,
     out = Tensor(out_data)
     out.requires_grad = any(t.requires_grad for t in inputs)
     return out
+
+
+def _run_blas_on_one_thread() -> None:
+    """Set numpy's bundled OpenBLAS to one thread, for the whole process.
+
+    ``_in_shares`` is the one layer of CPU parallelism: BLAS threads on
+    top of it compete with the shares, and their count changes the order
+    in which conv1d's kernel-gradient GEMM sums, so results would depend
+    on ``OPENBLAS_NUM_THREADS`` and on CPU affinity. Does nothing where
+    numpy carries no bundled OpenBLAS with this setter.
+    """
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes = (ctypes.c_int,)
+        setter.restype = None
+        setter(1)
+
+
+# On import, not in cli.main: tests and the Python API never run main.
+_run_blas_on_one_thread()
 
 
 def _worker_count() -> int:

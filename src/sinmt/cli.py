@@ -51,7 +51,7 @@ def _load_network(path: str):
     # scoring reads the spoof branch only: no speaker head, no reversal
     try:
         return md.load_checkpoint(path, mode=md.MODE_BASELINE)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"cannot load checkpoint {path}: {exc}") from exc
 
 
@@ -97,12 +97,8 @@ def cmd_train(args) -> int:
     manifest = sd.read_manifest(args.corpus)
     _log(f"training mode={cfg.train.mode} grl={cfg.train.resolved_grl()} "
          f"alpha={cfg.train.alpha} seed={cfg.train.seed}")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = tr.train(cfg.train, manifest,
-                          encoder=cfg.model.encoder, head=cfg.model.head)
-        for w in caught:
-            _log(f"warning: {w.message}")
+    result = tr.train(cfg.train, manifest,
+                      encoder=cfg.model.encoder, head=cfg.model.head)
 
     out.mkdir(parents=True, exist_ok=True)
     md.save_checkpoint(result.network, out / "best.ckpt")
@@ -137,12 +133,8 @@ def cmd_eval(args) -> int:
 def cmd_probe(args) -> int:
     network = _load_network(args.ckpt)
     manifest = sd.read_manifest(args.corpus)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = ev.separability_report(network, manifest, args.split,
-                                        seed=args.seed)
-        for w in caught:
-            _log(f"warning: {w.message}")
+    report = ev.separability_report(network, manifest, args.split,
+                                    seed=args.seed)
     print(f"split            {args.split}")
     print(f"speakers         {report.n_speakers}")
     print(f"probe_accuracy   {report.probe_accuracy:.6f}")
@@ -246,7 +238,14 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors, 0 on --help; keep both
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # a warning is shown even when the command then fails
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return args.func(args)
+            finally:
+                for w in caught:
+                    _log(f"warning: {w.message}")
     except ad.NumericsError as exc:
         _log(f"numerical failure: {exc}")
         return EXIT_NUMERIC

@@ -7,12 +7,17 @@ a two-backward reconstruction of the adversarial update). The code under
 test never supplies its own expected values.
 """
 
+import ctypes
 import inspect
+import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 import weakref
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -541,6 +546,35 @@ class TestWorkerCount:
         with pytest.raises(ArithmeticError, match="caller's share"):
             ad._in_shares(11, work)
         assert sorted(done) == [3, 7]
+
+
+class TestOneBlasThread:
+    """Importing ``sinmt.autodiff`` runs numpy's bundled OpenBLAS on one
+    thread, so the shares are the one layer of CPU parallelism."""
+
+    def test_import_sets_numpys_openblas_to_one_thread(self):
+        libs = (Path(np.__file__).parent.parent / "numpy.libs").glob(
+            "libscipy_openblas*")
+        getters = [str(p) for p in sorted(libs) if hasattr(
+            ctypes.CDLL(str(p)), "scipy_openblas_get_num_threads64_")]
+        if not getters:
+            pytest.skip("numpy carries no bundled scipy-openblas")
+        code = ("import ctypes, sinmt.autodiff; print(ctypes.CDLL("
+                f"{getters[0]!r}).scipy_openblas_get_num_threads64_())")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(ad.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "1"
+
+    def test_missing_library_or_setter_does_nothing(self, monkeypatch):
+        def missing(path):
+            raise OSError(f"{path}: cannot open shared object file")
+
+        for cdll in (missing, lambda path: object()):
+            monkeypatch.setattr(ad.ctypes, "CDLL", cdll)
+            assert ad._run_blas_on_one_thread() is None
 
 
 class TestUnreadGradients:

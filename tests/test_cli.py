@@ -8,10 +8,12 @@ small corpus keep everything fast.
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from sinmt import autodiff as ad
 from sinmt import cli
 from sinmt import config as cf
 from sinmt import evaluation as ev
@@ -272,6 +274,21 @@ class TestTrain:
         assert "not a writable directory" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_warning_before_a_failure_is_shown(self, cli_corpus, tmp_path,
+                                               monkeypatch, capsys):
+        def warn_then_diverge(*args, **kwargs):
+            warnings.warn("dev split lacks both classes; using the train "
+                          "split for per-epoch metrics and model selection")
+            raise ad.NumericsError("non-finite gradient for 'conv1.w'")
+
+        monkeypatch.setattr(tr, "train", warn_then_diverge)
+        code = cli.main(["train", "--corpus", str(cli_corpus),
+                         "--out", str(tmp_path / "x")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "warning: dev split lacks both classes" in err
+        assert "numerical failure: non-finite gradient" in err
+
     def test_divergence_exits_4(self, cli_corpus, tmp_path):
         cfg_path = write_config(
             tmp_path / "train.json",
@@ -374,11 +391,17 @@ class TestEval:
         assert code == 2
         assert "'attacks'" in capsys.readouterr().err
 
-    def test_missing_checkpoint_exits_2(self, cli_corpus, tmp_path):
-        code = cli.main(["eval", "--ckpt", str(tmp_path / "no.ckpt"),
-                         "--corpus", str(cli_corpus),
-                         "--out", str(tmp_path / "x")])
-        assert code == 2
+    def test_missing_checkpoint_exits_3(self, cli_corpus, tmp_path, capsys):
+        # an unreadable file is an I/O error from every command, as from
+        # ``train --init``; malformed content stays a configuration error
+        for command, out in (("eval", ["--out", str(tmp_path / "x")]),
+                             ("probe", []),
+                             ("export", ["--out", str(tmp_path / "x.txt")])):
+            code = cli.main([command, "--ckpt", str(tmp_path / "no.ckpt"),
+                             "--corpus", str(cli_corpus), *out])
+            assert code == 3, command
+            err = capsys.readouterr().err
+            assert "I/O error" in err and "no.ckpt" in err, command
 
 
 class TestProbeAndExport:

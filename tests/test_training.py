@@ -11,8 +11,12 @@ Oracles:
     through the warm-start path.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,6 +382,60 @@ class TestTrainStep:
         opt = ad.OptimizerState.sgd(lr=0.1)
         with pytest.raises(ValueError, match="nonempty"):
             tr.train_step(net, batch, cfg, opt, np.ones(2))
+
+
+# One spk train_step in a fresh process, recording every gradient; the
+# argument is the npz file to write, and an optional second one a CPU to
+# pin the process to before numpy loads.
+_STEP_GRADIENTS = """
+import os, sys
+if len(sys.argv) > 2:
+    os.sched_setaffinity(0, {int(sys.argv[2])})
+import numpy as np
+from sinmt import autodiff as ad, model as md, training as tr
+grads = {}
+def record(params, step_grads, state):
+    grads.update((f"B{b}/{k}", v) for k, v in step_grads.items())
+ad.optimizer_step = record
+for b, n in ((11, 4000), (32, 4000)):
+    rng = np.random.default_rng(np.random.SeedSequence([b, n]))
+    batch = tr.Batch(waveforms=rng.normal(size=(b, n)) * 0.3,
+                     spoof_labels=rng.integers(0, 2, size=b),
+                     speaker_labels=rng.integers(0, 20, size=b))
+    net = md.SInMTNetwork("spk", n_speakers=20, seed=0)
+    tr.train_step(net, batch, tr.TrainConfig(mode="spk"),
+                  ad.OptimizerState.sgd(1e-3))
+np.savez(sys.argv[1], **grads)
+"""
+
+
+class TestBlasThreads:
+    def test_train_step_gradients_ignore_blas_threads_and_affinity(
+            self, tmp_path):
+        """sinmt runs BLAS on one thread itself, so neither
+        ``OPENBLAS_NUM_THREADS`` nor the CPUs a process may use change a
+        gradient (conv1d's kernel-gradient GEMM sums in an order that
+        depends on the BLAS thread count)."""
+        src = str(Path(tr.__file__).parents[1])
+        cpu = str(min(os.sched_getaffinity(0)))
+        runs = {}
+        for label, threads, pin in (("1 thread", "1", []),
+                                    ("2 threads", "2", []),
+                                    ("2 threads, one CPU", "2", [cpu])):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, PYTHONPATH=src)
+            out = tmp_path / f"{threads}{len(pin)}.npz"
+            subprocess.run([sys.executable, "-c", _STEP_GRADIENTS, str(out),
+                            *pin], env=env, check=True)
+            with np.load(out) as data:
+                runs[label] = {k: data[k] for k in data.files}
+        reference = runs.pop("1 thread")
+        assert {k.split("/")[0] for k in reference} == {"B11", "B32"}
+        for label, grads in runs.items():
+            assert grads.keys() == reference.keys(), label
+            differ = [k for k in reference
+                      if grads[k].tobytes() != reference[k].tobytes()]
+            assert not differ, f"{label}: {differ}"
 
 
 # ---------------------------------------------------------------------------
