@@ -24,9 +24,13 @@ A last case runs ``training.train`` end to end, so the data path
 (waveform reads, cropping, augmentation, dev scoring) is compared too:
 ivspk for 2 epochs with augmentation, on a small corpus from
 ``generate_corpus`` whose dev split has both classes; it records the
-history, the best epoch and the returned parameters. The script prints
-each array that differs between the two sides, and exits 1 if any
-does, 0 otherwise.
+history, the best epoch and the returned parameters. It also records
+every waveform of that corpus, and the corpus's first utterance after
+``Augmenter.augment`` of each kind, from a fresh generator and from one
+that first drew ``choose_kind`` as training does, with the generator's
+next draws, so a change to synthesis is compared bit for bit and not
+only through training. The script prints each array that differs
+between the two sides, and exits 1 if any does, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -111,6 +115,25 @@ def record(src: str, out: str, shares: int | None = None) -> None:
                                       corpus_dir)
         if len({r.label for r in manifest.split_records("dev")}) != 2:
             raise RuntimeError("the train case's dev split lacks a class")
+        for r in manifest.records:
+            arrays[f"corpus/{r.utt_id}"] = manifest.load_waveform(r)
+        augmenter = sd.Augmenter(manifest.seed, manifest.n_speakers,
+                                 manifest.n_samples, manifest.sample_rate)
+        first = manifest.records[0]
+        for i, kind in enumerate(sd.AUGMENT_KINDS):
+            # speech draws its speaker with one bounded integer, which
+            # buffers half of a 64-bit output; after choose_kind's draw
+            # the buffer is empty again when its utterance is synthesized.
+            # The next bounded draws show whether the buffer survived.
+            for chosen in (False, True):
+                rng = np.random.default_rng(np.random.SeedSequence([i]))
+                if chosen:
+                    augmenter.choose_kind(rng)
+                key = f"augment/{kind}/chosen={chosen}"
+                arrays[key] = augmenter.augment(
+                    manifest.load_waveform(first), kind, rng,
+                    exclude_speaker=first.speaker_id)
+                arrays[f"{key}/next"] = rng.integers(0, 5, size=8)
         result = tr.train(tr.TrainConfig(
             mode="ivspk", alpha=0.1, fold_alpha_into_lambda=True,
             epochs=2, batch_size=8, clip_len=2000, augment=True),

@@ -116,13 +116,31 @@ def synthesize_bonafide(profile: SpeakerProfile, rng,
     coloration filter, then gets gated by syllable-length bursts
     separated by genuine pauses. A -45 dB white noise floor sits under
     everything, as in a clean recording chain.
+
+    The pulse train takes a phase draw, then one (amplitude, period
+    jitter) pair per pulse until a position reaches ``n_samples``. All
+    pairs that can be needed are drawn in one call, sized from the
+    shortest step (0.98 of a period); the positions are their running
+    sum (``np.cumsum`` adds in order, as a per-pulse ``pos +=`` would).
+    The generator state is then rewound and exactly the doubles used
+    are drawn again, so the numbers and the state left to the caller
+    are those of one scalar draw per value.
     """
     x = np.zeros(n_samples)
     period = sample_rate / profile.f0
-    pos = rng.uniform(0.0, 1.0) * period
-    while pos < n_samples:
-        x[int(pos)] = rng.uniform(0.9, 1.1)
-        pos += period * rng.uniform(0.98, 1.02)
+    state = rng.bit_generator.state
+    m = math.ceil(n_samples / (0.98 * period)) + 1  # +1 for rounding
+    phase = rng.uniform(0.0, 1.0)
+    pairs = rng.uniform(np.tile([0.9, 0.98], m), np.tile([1.1, 1.02], m))
+    pos = np.cumsum(np.concatenate(([phase * period], period * pairs[1::2])))
+    if pos[-1] < n_samples:
+        raise RuntimeError(
+            f"pulse train of {m} periods stops at {pos[-1]} before "
+            f"{n_samples} samples")
+    n = int(np.searchsorted(pos, n_samples))
+    x[pos[:n].astype(np.intp)] = pairs[0:2 * n:2]
+    rng.bit_generator.state = state
+    rng.random(1 + 2 * n)
     x = lfilter([1.0], [1.0, -profile.tilt], x)
     x = lfilter([1.0], [1.0, -profile.tilt], x)
     x = np.convolve(x, profile.filter_taps)[:n_samples]
@@ -385,6 +403,15 @@ class CorpusConfig:
             raise ValueError("utterances_per_speaker must be at least 2")
         if self.n_samples < 1 or self.sample_rate < 1:
             raise ValueError("n_samples and sample_rate must be positive")
+        # One period of the lowest fundamental (80 Hz) holds a pulse, and
+        # the envelope's Hann window is zero at its first sample, so a
+        # shorter utterance, or a single sample, can be silent.
+        shortest = max(2, math.ceil(self.sample_rate / 80))
+        if self.n_samples < shortest:
+            raise ValueError(
+                f"corpus.n_samples must be at least {shortest} at sample "
+                f"rate {self.sample_rate} (one period at 80 Hz, the lowest "
+                f"fundamental), got {self.n_samples}")
         if len(self.split_fractions) != 3:
             raise ValueError("split_fractions must be (train, dev, eval)")
         if any(f < 0 for f in self.split_fractions):

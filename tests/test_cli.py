@@ -182,6 +182,39 @@ class TestGen:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("short", [
+        {"n_samples": 40}, {"n_samples": 16}, {"n_samples": 49},
+        {"n_samples": 99, "sample_rate": 8000},
+        {"n_samples": 1, "sample_rate": 80}])
+    def test_utterance_shorter_than_a_period_fails_before_writing(
+            self, tmp_path, capsys, short):
+        # below one period at 80 Hz an utterance's first pulse can fall
+        # past its end, and the silent signal cannot be level-normalized
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"corpus": dict(TINY_CORPUS, **short)}))
+        out = tmp_path / "corpus"
+        code = cli.main(["gen", "--config", str(bad), "--out", str(out)])
+        assert code == 2
+        assert "corpus.n_samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("shortest", [
+        {"n_samples": 50}, {"n_samples": 2, "sample_rate": 160}])
+    def test_shortest_utterance_generates(self, tmp_path, seed, shortest):
+        doc = {"corpus": dict(TINY_CORPUS, seed=seed, **shortest)}
+        cfg_path = tmp_path / "gen.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "corpus"
+        assert cli.main(["gen", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+        manifest = sd.read_manifest(out)
+        assert len(manifest.records) == 5 * 12
+        for record in manifest.records:
+            wav = manifest.load_waveform(record)
+            assert len(wav) == shortest["n_samples"]
+            assert np.max(np.abs(wav)) == pytest.approx(0.9, abs=1e-12)
+
 
 class TestTrain:
     def test_artifacts_and_history(self, trained_run):

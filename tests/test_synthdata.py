@@ -4,6 +4,8 @@ Oracles used here are computed locally and independently of the library:
   * SNR is re-measured from the mixture by subtracting the known clean
     component.
   * Per-frame magnitude preservation is checked with a direct FFT.
+  * The bulk pulse-train draw is checked bit for bit against a reference
+    synthesis that draws one scalar per value.
   * The learnability check builds its own spectral-template classifier
     from scratch on band-averaged log spectra.
 
@@ -13,6 +15,7 @@ during development; measured values are noted next to each assertion.
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from sinmt import synthdata as sd
 
@@ -85,6 +88,83 @@ class TestBonafideSynthesis:
         peak_hz = float(np.argmax(mag))
         ratios = peak_hz / p.f0
         assert abs(ratios - round(ratios)) * p.f0 < 3.0
+
+
+def scalar_synthesize_bonafide(profile, rng, n_samples=4000,
+                               sample_rate=4000):
+    """Reference synthesis drawing its pulse train one scalar at a time:
+    a phase, then an amplitude and a period jitter per pulse."""
+    x = np.zeros(n_samples)
+    period = sample_rate / profile.f0
+    pos = rng.uniform(0.0, 1.0) * period
+    while pos < n_samples:
+        x[int(pos)] = rng.uniform(0.9, 1.1)
+        pos += period * rng.uniform(0.98, 1.02)
+    x = lfilter([1.0], [1.0, -profile.tilt], x)
+    x = lfilter([1.0], [1.0, -profile.tilt], x)
+    x = np.convolve(x, profile.filter_taps)[:n_samples]
+    envelope = np.zeros(n_samples)
+    t = 0.0
+    while t < n_samples:
+        on = max(int(rng.uniform(0.12, 0.22) * sample_rate), 4)
+        off = int(rng.uniform(0.08, 0.18) * sample_rate)
+        i0 = int(t)
+        window = np.hanning(on)
+        seg = min(on, n_samples - i0)
+        envelope[i0:i0 + seg] = np.maximum(envelope[i0:i0 + seg],
+                                           window[:seg])
+        t += on + off
+    x = x * envelope
+    x *= profile.level / rms(x)
+    noise = rng.normal(size=n_samples)
+    noise *= (profile.level * 10.0 ** (-45.0 / 20.0)) / rms(noise)
+    return sd.peak_normalize(x + noise)
+
+
+class TestPulseTrainMatchesScalarDraws:
+    """The bulk pulse-train draw gives the scalar loop's waveform bits and
+    leaves the generator where the scalar loop leaves it."""
+
+    @staticmethod
+    def assert_same(profile, entropy, n_samples=4000, sample_rate=4000,
+                    predraw=False):
+        ours, ref = fresh_rng(*entropy), fresh_rng(*entropy)
+        if predraw:
+            # as Augmenter.choose_kind does: a bounded integer draw leaves
+            # half of a 64-bit output buffered for the next one
+            assert ours.integers(0, 5) == ref.integers(0, 5)
+            assert ours.bit_generator.state["has_uint32"] == 1
+        got = sd.synthesize_bonafide(profile, ours, n_samples, sample_rate)
+        want = scalar_synthesize_bonafide(profile, ref, n_samples,
+                                          sample_rate)
+        assert got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert ours.integers(0, 5, size=8).tolist() == \
+            ref.integers(0, 5, size=8).tolist()
+
+    @pytest.mark.parametrize("predraw", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_every_speaker_of_several_corpora(self, seed, predraw):
+        for n_speakers in (4, 20):
+            for sid in range(1, n_speakers + 1):
+                profile = sd.speaker_profile(seed, sid, n_speakers)
+                for utt in range(2):
+                    self.assert_same(profile, (seed, 2, sid, utt),
+                                     predraw=predraw)
+
+    @pytest.mark.parametrize("predraw", [False, True])
+    def test_other_rate_and_length(self, predraw):
+        for sid in (1, 10, 20):
+            profile = sd.speaker_profile(3, sid, 20)
+            self.assert_same(profile, (3, sid), n_samples=2048,
+                             sample_rate=8000, predraw=predraw)
+
+    def test_shortest_valid_utterances(self):
+        for sid in range(1, 21):
+            profile = sd.speaker_profile(2, sid, 20)
+            self.assert_same(profile, (2, sid), n_samples=50)
+            self.assert_same(profile, (2, sid), n_samples=2,
+                             sample_rate=160)
 
 
 class TestAttacks:
@@ -344,6 +424,12 @@ class TestCorpusGeneration:
             cfg.validate()
         cfg = sd.CorpusConfig(split_fractions=(0.5, 0.2, 0.2))
         with pytest.raises(ValueError, match="sum to 1"):
+            cfg.validate()
+        cfg = sd.CorpusConfig(n_samples=49)
+        with pytest.raises(ValueError, match="n_samples must be at least 50"):
+            cfg.validate()
+        cfg = sd.CorpusConfig(n_samples=1, sample_rate=80)
+        with pytest.raises(ValueError, match="n_samples must be at least 2"):
             cfg.validate()
 
     def test_eval_speaker_ids_are_last_fifth(self):
