@@ -41,10 +41,12 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
-def _load_config(path: str | None) -> cf.ExperimentConfig:
+def _read_config(path: str | None) -> cf.ExperimentConfig:
+    """The config at ``path``, or the defaults, not yet validated: a
+    command validates it after applying its flags."""
     if path is None:
         return cf.ExperimentConfig()
-    return cf.load(path)
+    return cf.read(path)
 
 
 def _load_network(path: str):
@@ -68,7 +70,8 @@ def _require_writable_dir(out: Path) -> None:
 
 
 def cmd_gen(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _read_config(args.config)
+    cfg.validate()
     out = Path(args.out)
     manifest = sd.generate_corpus(cfg.corpus, out, force=args.force)
     cf.write_resolved(cfg, out / "config.resolved")
@@ -80,7 +83,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _read_config(args.config)
     if args.mode:
         cfg.train.mode = args.mode
     if args.init:

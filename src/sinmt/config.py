@@ -11,9 +11,11 @@ An experiment file looks like::
 Every section and every field is optional — omitted fields take the
 module defaults — but unknown keys are rejected by their dotted path
 (``model.encoder.ffn_dims``) so typos never silently fall back to
-defaults. `load` reads and validates a file; `write_resolved` writes
-the configuration with every default filled in, which is itself a valid
-configuration that reproduces the run exactly.
+defaults. `read` parses and type-checks a file, `load` also
+validates it, and `write_resolved` writes the configuration with every
+default filled in, which is itself a valid configuration that reproduces
+the run exactly. ``NaN``, ``Infinity`` and ``-Infinity``, which Python's
+JSON reader would accept, are refused.
 """
 
 from __future__ import annotations
@@ -132,14 +134,20 @@ def _build(cls, data, path: str):
     return cls(**kwargs)
 
 
-def load(path) -> ExperimentConfig:
+def read(path) -> ExperimentConfig:
+    """The configuration in `path`, typed but not validated, so that a
+    caller can override fields before it validates."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            document = json.load(f)
+            document = json.load(f, parse_constant=md.refuse_json_constant)
         except json.JSONDecodeError as exc:
             raise ValueError(
                 f"configuration is not valid JSON: {exc}") from exc
-    cfg = _build(ExperimentConfig, document, "")
+    return _build(ExperimentConfig, document, "")
+
+
+def load(path) -> ExperimentConfig:
+    cfg = read(path)
     cfg.validate()
     return cfg
 

@@ -18,6 +18,7 @@ sharpen or suppress speaker identity in the shared features.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, asdict
 
@@ -45,11 +46,20 @@ def resolve_grl(mode: str, grl_scale: float | None = None) -> float:
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r} (expected one of {MODES})")
     grl = DEFAULT_GRL[mode] if grl_scale is None else float(grl_scale)
+    if not math.isfinite(grl):
+        raise ValueError(f"grl_scale must be finite, got {grl}")
     if mode == MODE_SPEAKER_AWARE and grl != -1.0:
         raise ValueError(f"mode 'spk' requires grl_scale == -1, got {grl}")
     if mode == MODE_SPEAKER_INVARIANT and grl <= 0.0:
         raise ValueError(f"mode 'ivspk' requires grl_scale > 0, got {grl}")
     return grl
+
+
+def refuse_json_constant(name: str):
+    """``parse_constant`` for `json.load`: refuse the NaN and infinities
+    that Python's reader accepts but JSON does not."""
+    raise ValueError(f"{name} is not valid JSON; every number must be "
+                     f"finite")
 
 
 def _require_positive_int(name: str, value) -> None:
@@ -432,7 +442,8 @@ def read_checkpoint(path):
         mraw = f.read(mlen)
         if len(mraw) != mlen:
             raise ValueError("truncated checkpoint manifest")
-        manifest = json.loads(mraw.decode("utf-8"))
+        manifest = json.loads(mraw.decode("utf-8"),
+                              parse_constant=refuse_json_constant)
         blob = f.read()
     if not isinstance(manifest, dict):
         raise ValueError("malformed checkpoint: manifest is not a JSON object")

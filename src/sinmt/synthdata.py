@@ -20,6 +20,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -414,8 +415,10 @@ class CorpusConfig:
                 f"fundamental), got {self.n_samples}")
         if len(self.split_fractions) != 3:
             raise ValueError("split_fractions must be (train, dev, eval)")
-        if any(f < 0 for f in self.split_fractions):
-            raise ValueError("split fractions must be nonnegative")
+        if any(not (math.isfinite(f) and f >= 0)
+               for f in self.split_fractions):
+            raise ValueError(f"split fractions must be finite and "
+                             f"nonnegative, got {self.split_fractions}")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValueError(
                 f"split fractions must sum to 1, got {self.split_fractions}")
@@ -432,6 +435,11 @@ class CorpusConfig:
                 raise ValueError(
                     f"attack {spec.attack_id}: {spec.kind} takes no param "
                     f"{unknown[0]!r} (accepts {sorted(allowed)})")
+            for name, value in spec.params.items():
+                if isinstance(value, numbers.Real) and \
+                        not math.isfinite(value):
+                    raise ValueError(f"attack {spec.attack_id}: param "
+                                     f"{name!r} must be finite, got {value}")
         n_eval = self.n_eval_speakers()
         if not 1 <= n_eval < self.n_speakers:
             raise ValueError(

@@ -10,14 +10,18 @@ The realized extractor update under SGD decomposes as
     θf ← θf − μ(∂Ls/∂θf − λ·α_eff·∂Ld/∂θf)
 
 with α_eff = α by default (α applied on the loss, λ in the reversal
-layer). `fold_alpha_into_lambda` moves α into the reversal scale
-instead (loss term unweighted, reversal scale λ·α): the extractor
-update is identical, but the speaker head then trains on the
-unweighted Ld.
+layer). `fold_alpha_into_lambda`, an `ivspk`-only setting, moves α
+into the reversal scale instead (loss term unweighted, reversal scale
+λ·α): the extractor update is identical, but the speaker head then
+trains on the unweighted Ld. That changes the head's steps under SGD
+only. Adam divides each step by the root of the gradient's second
+moment, so scaling the head's gradient by α leaves its steps as they
+were but for ε: unfolded, the head steps as if ε were ε/α.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,8 +31,8 @@ import numpy as np
 from . import autodiff as ad
 from . import evaluation as ev
 from . import synthdata as sd
-from .model import (MODE_BASELINE, SInMTNetwork, _require_positive_int,
-                    load_checkpoint, resolve_grl)
+from .model import (MODE_BASELINE, MODE_SPEAKER_INVARIANT, SInMTNetwork,
+                    _require_positive_int, load_checkpoint, resolve_grl)
 
 _STREAM_SHUFFLE = 10
 _STREAM_ITEM = 11
@@ -61,20 +65,28 @@ class TrainConfig:
 
     def validate(self) -> None:
         self.resolved_grl()  # checks the mode and its reversal scale
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError(f"alpha must be finite and >= 0, "
+                             f"got {self.alpha}")
+        if self.fold_alpha_into_lambda and \
+                self.mode != MODE_SPEAKER_INVARIANT:
+            raise ValueError(f"train.fold_alpha_into_lambda applies to "
+                             f"mode 'ivspk' only, not {self.mode!r}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer: {self.optimizer!r}")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate)
+                and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate}")
         for name in ("batch_size", "epochs", "patience"):
             _require_positive_int(name, getattr(self, name))
         if self.clip_len is not None:
             _require_positive_int("clip_len", self.clip_len)
         if self.spoof_class_weights is not None:
             w = np.asarray(self.spoof_class_weights, dtype=np.float64)
-            if w.shape != (2,) or (w < 0).any() or w.sum() == 0.0:
-                raise ValueError("spoof_class_weights must be two "
+            if w.shape != (2,) or not np.isfinite(w).all() or \
+                    (w < 0).any() or w.sum() == 0.0:
+                raise ValueError("spoof_class_weights must be two finite "
                                  "nonnegative values, not all zero")
 
 
@@ -188,7 +200,7 @@ def train_step(network: SInMTNetwork, batch: Batch, config: TrainConfig,
     if batch.waveforms.ndim != 2 or batch.waveforms.shape[0] == 0:
         raise ValueError("batch must be a nonempty B×N array")
 
-    fold = config.fold_alpha_into_lambda and network.mode != MODE_BASELINE
+    fold = config.fold_alpha_into_lambda
     alpha_used = 1.0 if fold else config.alpha
     grl_scale = network.grl_scale * config.alpha if fold else None
     with ad.Tape() as tape:

@@ -7,11 +7,13 @@ long one and owns the ten-minute budget.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sinmt.autodiff as ad
+import sinmt.cli as cli
 import sinmt.evaluation as ev
 import sinmt.model as m
 import sinmt.synthdata as sd
@@ -293,23 +295,10 @@ def test_criterion_5_benchmark_arithmetic_fixtures():
 # ---------------------------------------------------------------------------
 
 
-# Frozen recipe, seed 0 throughout. Early stopping is disabled (the
-# budget owns the schedule) and augmentation is off: the reverb
-# augmentation applied to bona-fide items collides with the
-# filter-mismatch attack (both are an extra convolution on the same
-# utterance), which drives that attack's error above chance. The runs
-# cascade: the detector trains from scratch, the cooperative stage
-# warm-starts from it with a full-weight speaker loss, and the
-# adversarial stage warm-starts from the cooperative one with the
-# speaker head kept at full strength while the extractor sees the
-# 0.1-scaled reversed gradient. Warm-started stages need half the
-# epochs.
-COMMON = dict(learning_rate=1.5e-3, batch_size=32, clip_len=2000,
-              seed=0, patience=100, augment=False)
-BASE_RECIPE = dict(COMMON, epochs=60)
-SPK_RECIPE = dict(COMMON, epochs=30, alpha=1.0)
-IVSPK_RECIPE = dict(COMMON, epochs=30, alpha=0.1,
-                    fold_alpha_into_lambda=True)
+# The reference recipe, one config per stage, as scripts/run_demo.sh
+# runs it (README, "Reference recipe").
+RECIPE = Path(__file__).resolve().parents[1] / "scripts" / "recipe"
+CASCADE = (("baseline", None), ("spk", "baseline"), ("ivspk", "spk"))
 
 
 def _eval_pooled(network, manifest):
@@ -317,24 +306,19 @@ def _eval_pooled(network, manifest):
                                               "eval")).pooled_eer
 
 
-def test_criterion_6_directional_experiment(corpus, tmp_path):
+def test_criterion_6_directional_experiment(corpus_dir, corpus, tmp_path):
     t0 = time.monotonic()
     manifest = corpus
 
-    base_net = tr.train(tr.TrainConfig(mode="baseline", **BASE_RECIPE),
-                        manifest).network
-    base_ckpt = tmp_path / "baseline_best.ckpt"
-    m.save_checkpoint(base_net, base_ckpt)
-
-    spk_net = tr.train(tr.TrainConfig(mode="spk",
-                                      init_checkpoint=str(base_ckpt),
-                                      **SPK_RECIPE), manifest).network
-    spk_ckpt = tmp_path / "spk_best.ckpt"
-    m.save_checkpoint(spk_net, spk_ckpt)
-
-    iv_net = tr.train(tr.TrainConfig(mode="ivspk",
-                                     init_checkpoint=str(spk_ckpt),
-                                     **IVSPK_RECIPE), manifest).network
+    for stage, parent in CASCADE:
+        init = ["--init", str(tmp_path / parent / "best.ckpt")] \
+            if parent else []
+        assert cli.main(["train", "--config", str(RECIPE / f"{stage}.json"),
+                         "--corpus", str(corpus_dir),
+                         "--out", str(tmp_path / stage), *init]) == 0, stage
+    base_net, spk_net, iv_net = [
+        m.load_checkpoint(tmp_path / stage / "best.ckpt")
+        for stage, _ in CASCADE]
 
     eers = {"baseline": _eval_pooled(base_net, manifest),
             "spk": _eval_pooled(spk_net, manifest),

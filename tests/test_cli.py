@@ -152,6 +152,28 @@ class TestGen:
             assert named in capsys.readouterr().err, command
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"corpus": dict(TINY_CORPUS, attacks=[
+            {"attack_id": "A04", "kind": "artifact_tone",
+             "params": {"freq_hz": float("nan")}}])},
+        {"train": {"learning_rate": float("nan")}},
+        {"train": {"alpha": float("inf")}},
+        {"train": {"mode": "ivspk", "grl_scale": float("-inf")}},
+        {"corpus": {"split_fractions": [float("nan"), 0.5, 0.5]}},
+    ])
+    def test_non_finite_number_exits_2_before_writing(self, tmp_path,
+                                                      capsys, doc):
+        # Python's JSON reader takes NaN and Infinity; JSON does not
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for command in (["gen"], ["train", "--corpus", str(tmp_path)]):
+            code = cli.main(command + ["--config", str(bad),
+                                       "--out", str(out)])
+            assert code == 2, command
+            assert "not valid JSON" in capsys.readouterr().err, command
+        assert not out.exists()
+
     @pytest.mark.parametrize("attack,named", [
         ({"attack_id": "A01", "kind": "phase_randomise"}, "phase_randomise"),
         ({"attack_id": "A03", "kind": "bit_crush", "params": {"bitz": 4}},
@@ -247,6 +269,34 @@ class TestTrain:
                          "--mode", "baseline"]) == 0
         resolved = cf.load(out / "config.resolved")
         assert resolved.train.mode == "baseline"
+
+    def test_mode_flag_applies_before_validation(self, cli_corpus,
+                                                 trained_run, tmp_path):
+        # the fold is an ivspk setting; the config alone is a baseline one
+        cfg_path = write_config(
+            tmp_path / "train.json",
+            train=train_section(epochs=1, fold_alpha_into_lambda=True))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", cfg_path,
+                         "--corpus", str(cli_corpus), "--out", str(out),
+                         "--mode", "ivspk",
+                         "--init", str(trained_run / "best.ckpt")]) == 0
+        resolved = cf.load(out / "config.resolved")
+        assert resolved.train.mode == "ivspk"
+        assert resolved.train.fold_alpha_into_lambda is True
+
+    @pytest.mark.parametrize("mode", ["baseline", "spk"])
+    def test_fold_outside_ivspk_exits_2(self, cli_corpus, tmp_path, capsys,
+                                        mode):
+        cfg_path = write_config(
+            tmp_path / "train.json",
+            train=train_section(mode=mode, fold_alpha_into_lambda=True))
+        out = tmp_path / "run"
+        code = cli.main(["train", "--config", cfg_path,
+                         "--corpus", str(cli_corpus), "--out", str(out)])
+        assert code == 2
+        assert "train.fold_alpha_into_lambda" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mode_scale_contradiction_exits_2(self, cli_corpus, tmp_path,
                                               capsys):
@@ -397,6 +447,23 @@ class TestEval:
                              "--out", str(tmp_path / "x")])
             assert code == 2
             assert fault in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_value_exits_2(self, cli_corpus,
+                                                 trained_run, tmp_path,
+                                                 capsys):
+        net = md.load_checkpoint(trained_run / "best.ckpt")
+        net.grl_scale = float("nan")  # saved as "grl_scale": NaN
+        ckpt = tmp_path / "nan.ckpt"
+        md.save_checkpoint(net, ckpt)
+        out = tmp_path / "x"
+        for command in (
+                ["eval", "--ckpt", str(ckpt), "--out", str(out)],
+                ["train", "--init", str(ckpt), "--out", str(out)]):
+            code = cli.main(command + ["--corpus", str(cli_corpus)])
+            assert code == 2, command
+            assert "NaN is not valid JSON" in capsys.readouterr().err, \
+                command
+        assert not out.exists()
 
     def test_wrongly_typed_checkpoint_value_exits_2(self, cli_corpus,
                                                    trained_run, tmp_path,

@@ -2,6 +2,8 @@
 configuration, and unknown keys are rejected by their dotted path."""
 
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,10 @@ NON_DEFAULT = {
     "train": {"mode": "ivspk", "alpha": 0.3, "fold_alpha_into_lambda": True,
               "spoof_class_weights": [1, 2]},
 }
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+RECIPE_FILES = sorted((SCRIPTS / "recipe").glob("*.json"))
 
 
 def write_json(path, doc):
@@ -101,3 +107,23 @@ def test_number_field_takes_an_integer_as_given(tmp_path):
         with pytest.raises(ValueError, match="train.alpha must be a number"):
             cf.load(write_json(tmp_path / "bad.json",
                                {"train": {"alpha": value}}))
+
+
+def test_reference_recipe_has_its_three_stages():
+    assert [p.stem for p in RECIPE_FILES] == ["baseline", "ivspk", "spk"]
+
+
+@pytest.mark.parametrize("path", RECIPE_FILES, ids=lambda p: p.stem)
+def test_recipe_stage_loads_as_its_mode_and_round_trips(tmp_path, path):
+    cfg = cf.load(path)
+    assert cfg.train.mode == path.stem
+    cf.write_resolved(cfg, tmp_path / "echo.json")
+    assert cf.load(tmp_path / "echo.json") == cfg
+
+
+def test_demo_script_parses_and_runs_every_recipe_stage():
+    script = SCRIPTS / "run_demo.sh"
+    subprocess.run(["sh", "-n", str(script)], check=True)
+    text = script.read_text()
+    for path in RECIPE_FILES:
+        assert f'"$RECIPE/{path.name}"' in text, path.name

@@ -432,6 +432,17 @@ class TestCorpusGeneration:
         with pytest.raises(ValueError, match="n_samples must be at least 2"):
             cfg.validate()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_values_are_refused(self, value):
+        cfg = sd.CorpusConfig(split_fractions=(value, 0.5, 0.5))
+        with pytest.raises(ValueError, match="split fractions must be finite"):
+            cfg.validate()
+        cfg = sd.CorpusConfig(attacks=[sd.AttackSpec(
+            "A04", "artifact_tone", {"freq_hz": value})])
+        with pytest.raises(ValueError, match="'freq_hz' must be finite"):
+            cfg.validate()
+
     def test_eval_speaker_ids_are_last_fifth(self):
         cfg = sd.CorpusConfig()
         assert cfg.eval_speaker_ids() == {17, 18, 19, 20}

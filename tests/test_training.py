@@ -472,6 +472,27 @@ class TestTrainConfig:
             with pytest.raises(ValueError):
                 bad.validate()
 
+    @pytest.mark.parametrize("field", ["alpha", "learning_rate",
+                                       "grl_scale", "spoof_class_weights"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_value_is_refused(self, field, value):
+        if field == "spoof_class_weights":
+            value = (1.0, value)
+        cfg = tr.TrainConfig(mode="ivspk", **{field: value})
+        with pytest.raises(ValueError, match="finite"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("mode", ["baseline", "spk"])
+    def test_fold_is_an_ivspk_setting(self, mode):
+        # on spk the fold would run a reversal of -alpha, which spk refuses
+        cfg = tr.TrainConfig(mode=mode, alpha=0.5,
+                             fold_alpha_into_lambda=True)
+        with pytest.raises(ValueError, match="train.fold_alpha_into_lambda"):
+            cfg.validate()
+        tr.TrainConfig(mode="ivspk", alpha=0.5,
+                       fold_alpha_into_lambda=True).validate()
+
     def test_default_config_is_valid(self):
         tr.TrainConfig().validate()
         tr.TrainConfig(mode="spk").validate()
