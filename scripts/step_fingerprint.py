@@ -111,14 +111,14 @@ def record(src: str, out: str, shares: int | None = None) -> None:
                  f"{case}/sgd")
 
     with tempfile.TemporaryDirectory() as corpus_dir:
-        manifest = sd.generate_corpus(sd.CorpusConfig(**TRAIN_CORPUS),
-                                      corpus_dir)
+        corpus = sd.CorpusConfig(**TRAIN_CORPUS)
+        manifest = sd.generate_corpus(corpus, corpus_dir)
         if len({r.label for r in manifest.split_records("dev")}) != 2:
             raise RuntimeError("the train case's dev split lacks a class")
         for r in manifest.records:
             arrays[f"corpus/{r.utt_id}"] = manifest.load_waveform(r)
-        augmenter = sd.Augmenter(manifest.seed, manifest.n_speakers,
-                                 manifest.n_samples, manifest.sample_rate)
+        augmenter = sd.Augmenter(corpus.seed, corpus.n_speakers,
+                                 corpus.n_samples, corpus.sample_rate)
         first = manifest.records[0]
         for i, kind in enumerate(sd.AUGMENT_KINDS):
             # speech draws its speaker with one bounded integer, which

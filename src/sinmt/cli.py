@@ -74,7 +74,6 @@ def cmd_gen(args) -> int:
     cfg.validate()
     out = Path(args.out)
     manifest = sd.generate_corpus(cfg.corpus, out, force=args.force)
-    cf.write_resolved(cfg, out / "config.resolved")
     counts = {s: len(manifest.split_records(s)) for s in sd.SPLITS}
     _log(f"wrote {len(manifest.records)} utterances to {out} "
          f"(train {counts['train']}, dev {counts['dev']}, "
@@ -106,6 +105,10 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     md.save_checkpoint(result.network, out / "best.ckpt")
     tr.write_history(result.history, out / "history.txt")
+    # echo the corpus read and the network trained (--init sizes it)
+    cfg.corpus = manifest.config
+    cfg.model = cf.ModelConfig(result.network.encoder_config,
+                               result.network.head_config)
     cf.write_resolved(cfg, out / "config.resolved")
     _log(f"best epoch {result.best_epoch} "
          f"(dev EER {result.best_dev_eer:.4f}); "
@@ -122,11 +125,10 @@ def cmd_eval(args) -> int:
                             batch_size=args.batch_size)
     out.mkdir(parents=True, exist_ok=True)
     ev.write_scores(scores, out / "scores.txt")
-    report = ev.breakdown_report(
-        scores, expected_attacks=[a.attack_id for a in manifest.attacks])
-    text = ev.render_report(report)
+    attack_ids = [a.attack_id for a in manifest.config.attacks]
+    report = ev.breakdown_report(scores, expected_attacks=attack_ids)
     ev.write_report(report, out / "report.txt")
-    print(text, end="")
+    print(ev.render_report(report))
     for message in report.warnings:
         _log(f"warning: {message}")
     _log(f"scores at {out / 'scores.txt'}, report at {out / 'report.txt'}")
@@ -134,6 +136,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    sd.require_seed("--seed", args.seed)
     network = _load_network(args.ckpt)
     manifest = sd.read_manifest(args.corpus)
     report = ev.separability_report(network, manifest, args.split,

@@ -69,7 +69,7 @@ def _convert(name: str, declared, value, path: str):
         return None
     declared = options[0]
     if name == "attack_id" and type(value) in (int, float):
-        value = str(value)  # the manifest header writes it as text
+        value = str(value)  # manifest rows hold it as text
     if declared in _SCALARS:
         accepted, kind = _SCALARS[declared]
         if not isinstance(value, accepted) or \
@@ -134,16 +134,27 @@ def _build(cls, data, path: str):
     return cls(**kwargs)
 
 
+def _parse(text: str, what: str):
+    try:
+        return json.loads(text, parse_constant=md.refuse_json_constant)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def read(path) -> ExperimentConfig:
     """The configuration in `path`, typed but not validated, so that a
     caller can override fields before it validates."""
     with open(path, "r", encoding="utf-8") as f:
-        try:
-            document = json.load(f, parse_constant=md.refuse_json_constant)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"configuration is not valid JSON: {exc}") from exc
+        document = _parse(f.read(), "configuration")
     return _build(ExperimentConfig, document, "")
+
+
+def corpus_from_json(text: str) -> sd.CorpusConfig:
+    """The corpus config in JSON `text`, read and validated as a config
+    file's ``corpus`` section is (a corpus manifest records it so)."""
+    corpus = _build(sd.CorpusConfig, _parse(text, "corpus"), "corpus")
+    corpus.validate()
+    return corpus
 
 
 def load(path) -> ExperimentConfig:

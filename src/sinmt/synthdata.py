@@ -22,7 +22,7 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +36,19 @@ _STREAM_SPLIT = 4
 
 WAVEFORM_MAGIC = b"SINMTWAV"
 MANIFEST_NAME = "manifest.tsv"
+MANIFEST_VERSION = "# sinmt-corpus-v2"
+_CORPUS_LINE = "# corpus="
 SPLITS = ("train", "dev", "eval")
 BONAFIDE = "bonafide"
 SPOOF = "spoof"
+
+
+def require_seed(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is an integer >= 0, as
+    numpy's seeding takes (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
 
 
 def _rms(x: np.ndarray) -> float:
@@ -398,6 +408,7 @@ class CorpusConfig:
     attacks: list = field(default_factory=default_attacks)
 
     def validate(self) -> None:
+        require_seed("corpus.seed", self.seed)
         if self.n_speakers < 4:
             raise ValueError("n_speakers must be at least 4")
         if self.utterances_per_speaker < 2:
@@ -466,12 +477,9 @@ class ManifestRecord:
 
 @dataclass
 class CorpusManifest:
-    seed: int
-    n_speakers: int
-    utterances_per_speaker: int
-    n_samples: int
-    sample_rate: int
-    attacks: list
+    """A corpus as its manifest file holds it: the config that generated
+    it and one record per utterance."""
+    config: CorpusConfig
     records: list
     base_dir: Path | None = None
 
@@ -492,10 +500,10 @@ class CorpusManifest:
 
     def load_waveform(self, record: ManifestRecord) -> np.ndarray:
         wav, rate = read_waveform(self.waveform_path(record))
-        if rate != self.sample_rate:
+        if rate != self.config.sample_rate:
             raise ValueError(
                 f"{record.utt_id}: file rate {rate} != corpus rate "
-                f"{self.sample_rate}")
+                f"{self.config.sample_rate}")
         return wav
 
 
@@ -549,34 +557,18 @@ def generate_corpus(config: CorpusConfig, out_dir,
                                           attack_id=attack_id, split=split))
             utt_index += 1
 
-    manifest = CorpusManifest(
-        seed=config.seed, n_speakers=D,
-        utterances_per_speaker=config.utterances_per_speaker,
-        n_samples=config.n_samples, sample_rate=config.sample_rate,
-        attacks=list(config.attacks), records=records, base_dir=out)
+    manifest = CorpusManifest(config, records, base_dir=out)
     write_manifest(manifest, manifest_path)
     return manifest
 
 
 def write_manifest(manifest: CorpusManifest, path) -> None:
-    n_bona = sum(1 for r in manifest.records if r.label == BONAFIDE)
-    counts = {s: len(manifest.split_records(s)) for s in SPLITS}
-    attacks_json = json.dumps(
-        [{"attack_id": a.attack_id, "kind": a.kind, "params": a.params}
-         for a in manifest.attacks], sort_keys=True)
-    lines = [
-        "# sinmt-corpus-v1",
-        f"# seed={manifest.seed}",
-        f"# n_speakers={manifest.n_speakers}",
-        f"# utterances_per_speaker={manifest.utterances_per_speaker}",
-        f"# n_samples={manifest.n_samples}",
-        f"# sample_rate={manifest.sample_rate}",
-        f"# attacks={attacks_json}",
-        f"# counts total={len(manifest.records)} bonafide={n_bona} "
-        f"spoof={len(manifest.records) - n_bona} train={counts['train']} "
-        f"dev={counts['dev']} eval={counts['eval']}",
-        "# columns: utt_id path speaker_id label attack_id split",
-    ]
+    """A version line, the corpus config as one JSON line, then one
+    tab-separated row per utterance."""
+    lines = [MANIFEST_VERSION,
+             _CORPUS_LINE + json.dumps(asdict(manifest.config),
+                                       sort_keys=True),
+             "# columns: utt_id path speaker_id label attack_id split"]
     for r in manifest.records:
         lines.append(f"{r.utt_id}\t{r.path}\t{r.speaker_id}\t{r.label}"
                      f"\t{r.attack_id}\t{r.split}")
@@ -584,21 +576,26 @@ def write_manifest(manifest: CorpusManifest, path) -> None:
 
 
 def read_manifest(path) -> CorpusManifest:
-    """Parse a manifest file (or a corpus directory containing one)."""
+    """Parse a manifest file (or a corpus directory containing one); its
+    config is checked as a config file's corpus section is."""
+    from . import config as cf  # config imports this module
+
     p = Path(path)
     if p.is_dir():
         p = p / MANIFEST_NAME
-    header = {}
+    lines = p.read_text(encoding="utf-8").splitlines()
+    try:
+        if len(lines) < 2 or lines[0] != MANIFEST_VERSION or \
+                not lines[1].startswith(_CORPUS_LINE):
+            raise ValueError(f"no {MANIFEST_VERSION[2:]} header; "
+                             f"regenerate the corpus with `sinmt gen`")
+        config = cf.corpus_from_json(lines[1][len(_CORPUS_LINE):])
+    except ValueError as exc:
+        raise ValueError(f"manifest {p}: {exc}") from exc
     records = []
     seen = set()
-    for line in p.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body and " " not in body.split("=", 1)[0]:
-                key, value = body.split("=", 1)
-                header[key] = value
+    for line in lines[2:]:
+        if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 6:
@@ -618,18 +615,4 @@ def read_manifest(path) -> CorpusManifest:
         records.append(ManifestRecord(utt_id=utt_id, path=rel,
                                       speaker_id=int(sid), label=label,
                                       attack_id=attack_id, split=split))
-    for key in ("seed", "n_speakers", "utterances_per_speaker",
-                "n_samples", "sample_rate", "attacks"):
-        if key not in header:
-            raise ValueError(f"manifest missing header field {key!r}")
-    try:
-        attacks = [AttackSpec(**d) for d in json.loads(header["attacks"])]
-    except TypeError as exc:
-        raise ValueError(f"bad manifest header 'attacks': {exc}") from exc
-    return CorpusManifest(
-        seed=int(header["seed"]),
-        n_speakers=int(header["n_speakers"]),
-        utterances_per_speaker=int(header["utterances_per_speaker"]),
-        n_samples=int(header["n_samples"]),
-        sample_rate=int(header["sample_rate"]),
-        attacks=attacks, records=records, base_dir=p.parent)
+    return CorpusManifest(config, records, base_dir=p.parent)

@@ -82,6 +82,7 @@ class TrainConfig:
             _require_positive_int(name, getattr(self, name))
         if self.clip_len is not None:
             _require_positive_int("clip_len", self.clip_len)
+        sd.require_seed("train.seed", self.seed)
         if self.spoof_class_weights is not None:
             w = np.asarray(self.spoof_class_weights, dtype=np.float64)
             if w.shape != (2,) or not np.isfinite(w).all() or \
@@ -340,8 +341,9 @@ def train(config: TrainConfig, manifest: sd.CorpusManifest,
                             for r in train_records]
         spoof_weights = inverse_frequency_weights(spoof_labels_all, 2)
 
-    augmenter = sd.Augmenter(manifest.seed, manifest.n_speakers,
-                             manifest.n_samples, manifest.sample_rate)
+    corpus = manifest.config
+    augmenter = sd.Augmenter(corpus.seed, corpus.n_speakers,
+                             corpus.n_samples, corpus.sample_rate)
     if config.optimizer == "adam":
         opt_state = ad.OptimizerState.adam(network.params,
                                            lr=config.learning_rate)

@@ -422,7 +422,7 @@ def test_criterion_8_corpus_sanity(tmp_path):
     eval_speakers = {r.speaker_id for r in man_a.split_records("eval")}
     assert train_speakers.isdisjoint(eval_speakers)
 
-    attack_ids = {a.attack_id for a in man_a.attacks}
+    attack_ids = {a.attack_id for a in man_a.config.attacks}
     for r in man_a.records:
         if r.label == "bonafide":
             assert r.attack_id == "bonafide"

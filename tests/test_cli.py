@@ -72,14 +72,32 @@ def trained_run(cli_corpus, tmp_path_factory):
 
 class TestGen:
     def test_writes_corpus_and_resolved_config(self, cli_corpus):
+        # the manifest records the corpus config, every default filled
+        # in; gen writes no whole-experiment echo
         manifest = sd.read_manifest(cli_corpus)
         assert len(manifest.records) == 5 * 12
-        resolved = cf.load(cli_corpus / "config.resolved")
-        assert resolved.corpus.n_speakers == 5
-        assert resolved.corpus.seed == 5
-        # the echo carries every default explicitly
-        doc = json.loads((cli_corpus / "config.resolved").read_text())
-        assert set(doc) == {"corpus", "model", "train"}
+        assert manifest.config == sd.CorpusConfig(**TINY_CORPUS)
+        assert sorted(p.name for p in cli_corpus.iterdir()) == \
+            ["manifest.tsv", "wav"]
+
+    @pytest.mark.parametrize("command,doc,named", [
+        ("gen", {"corpus": {"seed": -1, "n_speakers": 4,
+                            "utterances_per_speaker": 2}}, "corpus.seed"),
+        ("train", {"train": {"seed": -3}}, "train.seed"),
+    ])
+    def test_negative_seed_exits_2_before_writing(self, cli_corpus, tmp_path,
+                                                  capsys, command, doc,
+                                                  named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        corpus = ["--corpus", str(cli_corpus)] if command == "train" else []
+        code = cli.main([command, "--config", str(bad), "--out", str(out),
+                         *corpus])
+        assert code == 2
+        assert f"{named} must be a non-negative integer" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_names_the_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -372,6 +390,38 @@ class TestTrain:
         assert "warning: dev split lacks both classes" in err
         assert "numerical failure: non-finite gradient" in err
 
+    def test_resolved_echo_names_the_corpus_and_model_used(self, tmp_path):
+        # the config given to train names neither this corpus nor, for
+        # the warm-started stage, this model
+        corpus = {"n_speakers": 6, "utterances_per_speaker": 12,
+                  "n_samples": 1000, "seed": 5,
+                  "split_fractions": [0.5, 0.17, 0.33]}
+        gen = tmp_path / "gen.json"
+        gen.write_text(json.dumps({"corpus": corpus}))
+        assert cli.main(["gen", "--config", str(gen),
+                         "--out", str(tmp_path / "corpus")]) == 0
+        configs = {"spk": {"model": TINY_MODEL,
+                           "train": train_section(mode="spk", epochs=1)},
+                   "ivspk": {"train": train_section(mode="ivspk", epochs=1)}}
+        init = []
+        for stage, doc in configs.items():
+            path = tmp_path / f"{stage}.json"
+            path.write_text(json.dumps(doc))
+            assert cli.main(["train", "--config", str(path),
+                             "--corpus", str(tmp_path / "corpus"),
+                             "--out", str(tmp_path / stage), *init]) == 0
+            init = ["--init", str(tmp_path / stage / "best.ckpt")]
+        manifest = sd.read_manifest(tmp_path / "corpus")
+        assert manifest.config == sd.CorpusConfig(
+            **dict(corpus, split_fractions=(0.5, 0.17, 0.33)))
+        for stage in ("spk", "ivspk"):
+            resolved = cf.load(tmp_path / stage / "config.resolved")
+            net = md.load_checkpoint(tmp_path / stage / "best.ckpt")
+            assert resolved.corpus == manifest.config, stage
+            assert resolved.model.encoder == net.encoder_config, stage
+            assert resolved.model.head == net.head_config, stage
+            assert resolved.model.encoder.model_dim == 8, stage
+
     def test_divergence_exits_4(self, cli_corpus, tmp_path):
         cfg_path = write_config(
             tmp_path / "train.json",
@@ -398,6 +448,38 @@ class TestEval:
         out2 = tmp_path / "eval2"
         assert cli.main(args[:-1] + [str(out2)]) == 0
         assert (out2 / "scores.txt").read_bytes() == first
+
+    def test_stdout_ends_with_a_newline(self, cli_corpus, trained_run,
+                                        tmp_path, capsys):
+        assert cli.main(["eval", "--ckpt", str(trained_run / "best.ckpt"),
+                         "--corpus", str(cli_corpus),
+                         "--out", str(tmp_path / "eval")]) == 0
+        printed = capsys.readouterr().out
+        assert printed.endswith("\n") and not printed.endswith("\n\n")
+
+    @pytest.mark.parametrize("old,new,named", [
+        ('"level_db": -25.0', '"level_db": NaN', "NaN is not valid JSON"),
+        ('"n_speakers": 5', '"n_speakers": 5, "speekers": 5',
+         "unknown key corpus.speekers"),
+        ('"n_speakers": 5', '"n_speakers": "5"',
+         "corpus.n_speakers must be an integer"),
+        ("# sinmt-corpus-v2", "# sinmt-corpus-v1", "regenerate the corpus "
+                                                   "with `sinmt gen`"),
+    ])
+    def test_tampered_manifest_exits_2(self, cli_corpus, trained_run,
+                                       tmp_path, capsys, old, new, named):
+        text = (cli_corpus / "manifest.tsv").read_text()
+        assert old in text
+        bad = tmp_path / "corpus"
+        bad.mkdir()
+        (bad / "manifest.tsv").write_text(text.replace(old, new, 1))
+        code = cli.main(["eval", "--ckpt", str(trained_run / "best.ckpt"),
+                         "--corpus", str(bad), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert str(bad / "manifest.tsv") in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("batch_size", ["0", "-1"])
     def test_non_positive_batch_size_is_rejected(self, cli_corpus,
@@ -489,7 +571,7 @@ class TestEval:
         code = cli.main(["eval", "--ckpt", str(trained_run / "best.ckpt"),
                          "--corpus", str(bad), "--out", str(tmp_path / "x")])
         assert code == 2
-        assert "'attacks'" in capsys.readouterr().err
+        assert "corpus.attacks[0].parms" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_3(self, cli_corpus, tmp_path, capsys):
         # an unreadable file is an I/O error from every command, as from
@@ -516,6 +598,15 @@ class TestProbeAndExport:
         assert float(values["chance_level"]) == pytest.approx(1 / 5)
         assert 0.0 <= float(values["probe_accuracy"]) <= 1.0
         assert -1.0 <= float(values["silhouette"]) <= 1.0
+
+    def test_negative_probe_seed_exits_2(self, cli_corpus, trained_run,
+                                         capsys):
+        code = cli.main(["probe", "--ckpt", str(trained_run / "best.ckpt"),
+                         "--corpus", str(cli_corpus), "--seed", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--seed must be a non-negative integer" in captured.err
+        assert captured.out == ""
 
     def test_export_rows_and_determinism(self, cli_corpus, trained_run,
                                          tmp_path):

@@ -13,6 +13,9 @@ Threshold constants were pinned against the default corpus seed (0)
 during development; measured values are noted next to each assertion.
 """
 
+import json
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -452,13 +455,38 @@ class TestCorpusGeneration:
 class TestManifestIO:
     def test_round_trip(self, corpus, corpus_dir):
         again = sd.read_manifest(corpus_dir)
-        assert again.seed == corpus.seed
-        assert again.n_speakers == corpus.n_speakers
+        assert again.config == corpus.config == sd.CorpusConfig()
         assert len(again.records) == len(corpus.records)
         assert again.records[0] == corpus.records[0]
         assert again.records[-1] == corpus.records[-1]
-        assert [a.attack_id for a in again.attacks] == \
-            [a.attack_id for a in corpus.attacks]
+
+    def test_every_config_field_round_trips(self, tmp_path):
+        changed = {
+            "n_speakers": 6, "utterances_per_speaker": 4, "n_samples": 300,
+            "sample_rate": 8000, "split_fractions": (0.5, 0.17, 0.33),
+            "seed": 5,
+            "attacks": [sd.AttackSpec("X1", "bit_crush", {"bits": 4}),
+                        sd.AttackSpec("X2", "artifact_tone",
+                                      {"freq_hz": 900.5, "level_db": -20.0})],
+        }
+        # a field added to CorpusConfig is given a non-default value here
+        default = sd.CorpusConfig()
+        assert set(changed) == {f.name for f in fields(sd.CorpusConfig)}
+        for name, value in changed.items():
+            assert value != getattr(default, name), name
+        config = sd.CorpusConfig(**changed)
+        made = sd.generate_corpus(config, tmp_path)
+        again = sd.read_manifest(tmp_path)
+        assert made.config == again.config == config
+        assert again.records == made.records
+
+    def test_manifest_header_is_version_then_config(self, corpus_dir):
+        lines = (corpus_dir / "manifest.tsv").read_text().splitlines()
+        assert lines[0] == "# sinmt-corpus-v2"
+        assert lines[1] == "# corpus=" + json.dumps(
+            asdict(sd.CorpusConfig()), sort_keys=True)
+        assert lines[2].startswith("# columns:")
+        assert not lines[3].startswith("#")
 
     def test_split_records_all(self, corpus):
         assert len(corpus.split_records("all")) == 800
@@ -496,7 +524,7 @@ class TestManifestIO:
         bad = tmp_path / "parms"
         bad.mkdir()
         (bad / "manifest.tsv").write_text(bad_text)
-        with pytest.raises(ValueError, match="'attacks'.*parms"):
+        with pytest.raises(ValueError, match=r"corpus\.attacks\[0\]\.parms"):
             sd.read_manifest(bad)
 
     def test_missing_manifest_rejected(self, tmp_path):
@@ -509,8 +537,9 @@ class TestCorpusSeparability:
 
     def test_same_speaker_spectra_correlate_more_than_distant(self, corpus):
         rng = fresh_rng(123)
-        profiles = {s: sd.speaker_profile(corpus.seed, s, corpus.n_speakers)
-                    for s in range(1, corpus.n_speakers + 1)}
+        n_speakers = corpus.config.n_speakers
+        profiles = {s: sd.speaker_profile(corpus.config.seed, s, n_speakers)
+                    for s in range(1, n_speakers + 1)}
         bona = {}
         for r in corpus.records:
             if r.label == "bonafide":
@@ -525,11 +554,11 @@ class TestCorpusSeparability:
 
         same, far = [], []
         for _ in range(50):
-            sid = int(rng.integers(1, corpus.n_speakers + 1))
+            sid = int(rng.integers(1, n_speakers + 1))
             i, j = rng.choice(len(bona[sid]), 2, replace=False)
             fa = feat(bona[sid][i])
             same.append(np.corrcoef(fa, feat(bona[sid][j]))[0, 1])
-            distant = [s for s in range(1, corpus.n_speakers + 1)
+            distant = [s for s in range(1, n_speakers + 1)
                        if abs(profiles[s].f0 - profiles[sid].f0) > 50.0]
             s2 = int(rng.choice(distant))
             r2 = bona[s2][int(rng.integers(0, len(bona[s2])))]
@@ -575,7 +604,7 @@ class TestLearnability:
                        if r.split in ("train", "dev")),
                       key=lambda r: r.utt_id)
         feats = {r.utt_id: self._features(corpus.load_waveform(r),
-                                          corpus.sample_rate)
+                                          corpus.config.sample_rate)
                  for r in pool}
 
         def utt_index(r):

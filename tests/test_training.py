@@ -636,8 +636,8 @@ class TestTrainLoop:
         rng = np.random.default_rng(0)
         for r in poisoned.split_records("eval"):
             sd.write_waveform(poisoned.waveform_path(r),
-                              rng.normal(size=poisoned.n_samples),
-                              poisoned.sample_rate)
+                              rng.normal(size=poisoned.config.n_samples),
+                              poisoned.config.sample_rate)
         res_poisoned = tr.train(small_config("spk", small_ckpts), poisoned)
         assert res_clean.history == res_poisoned.history
         for name, value in res_clean.network.params.state().items():
@@ -674,13 +674,8 @@ class TestTrainLoop:
 
     def test_empty_train_split_rejected(self, small_corpus):
         records = [r for r in small_corpus.records if r.split == "eval"]
-        manifest = sd.CorpusManifest(
-            seed=0, n_speakers=small_corpus.n_speakers,
-            utterances_per_speaker=small_corpus.utterances_per_speaker,
-            n_samples=small_corpus.n_samples,
-            sample_rate=small_corpus.sample_rate,
-            attacks=small_corpus.attacks, records=records,
-            base_dir=small_corpus.base_dir)
+        manifest = sd.CorpusManifest(small_corpus.config, records,
+                                     base_dir=small_corpus.base_dir)
         with pytest.raises(ValueError, match="train split"):
             tr.train(tr.TrainConfig(), manifest)
 
