@@ -121,8 +121,7 @@ def cmd_eval(args) -> int:
     manifest = sd.read_manifest(args.corpus)
     out = Path(args.out)
     _require_writable_dir(out)
-    scores = ev.score_split(network, manifest, args.split,
-                            batch_size=args.batch_size)
+    scores = ev.score_split(network, manifest, args.split)
     out.mkdir(parents=True, exist_ok=True)
     ev.write_scores(scores, out / "scores.txt")
     attack_ids = [a.attack_id for a in manifest.config.attacks]
@@ -186,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="corpus directory")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--split", default="eval", choices=cf.SPLIT_CHOICES)
-    p.add_argument("--batch-size", type=int, default=32)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("probe",

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import autodiff as ad
+from . import synthdata as sd
 
 CHECKPOINT_VERSION = "sinmt-ckpt-v1"
 
@@ -62,15 +63,6 @@ def refuse_json_constant(name: str):
                      f"finite")
 
 
-def _require_positive_int(name: str, value) -> None:
-    """ValueError naming ``name`` unless ``value`` is an integer >= 1
-    (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be positive")
-
-
 @dataclass
 class EncoderConfig:
     """Conv frontend + transformer sizing.
@@ -96,10 +88,10 @@ class EncoderConfig:
                 raise ValueError(f"conv_layers[{i}] must be a [channels, "
                                  f"kernel, stride] triple, got {layer!r}")
             for part, value in zip(("channels", "kernel", "stride"), layer):
-                _require_positive_int(f"conv_layers[{i}] {part}", value)
+                sd.require_positive_int(f"conv_layers[{i}] {part}", value)
         for name in ("model_dim", "n_transformer_layers", "n_attention_heads",
                      "ffn_dim", "max_frames"):
-            _require_positive_int(name, getattr(self, name))
+            sd.require_positive_int(name, getattr(self, name))
         if self.model_dim % self.n_attention_heads != 0:
             raise ValueError(
                 f"model_dim {self.model_dim} not divisible by "
@@ -133,7 +125,7 @@ class MHFAConfig:
 
     def validate(self) -> None:
         for name in ("n_heads", "key_dim", "value_dim", "embedding_dim"):
-            _require_positive_int(name, getattr(self, name))
+            sd.require_positive_int(name, getattr(self, name))
 
 
 @dataclass
@@ -204,8 +196,9 @@ class SInMTNetwork:
         self.encoder_config.validate()
         self.head_config = head or MHFAConfig()
         self.head_config.validate()
-        _require_positive_int("n_speakers", n_speakers)
+        sd.require_positive_int("n_speakers", n_speakers)
         self.n_speakers = int(n_speakers)
+        sd.require_seed("seed", seed)
         self.seed = int(seed)
 
         self.params = ad.ParameterSet()

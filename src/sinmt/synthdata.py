@@ -51,6 +51,15 @@ def require_seed(name: str, value) -> None:
         raise ValueError(f"{name} must be a non-negative integer, got {value}")
 
 
+def require_positive_int(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is an integer >= 1
+    (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
+
+
 def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(x))))
 
@@ -409,12 +418,13 @@ class CorpusConfig:
 
     def validate(self) -> None:
         require_seed("corpus.seed", self.seed)
+        for name in ("n_speakers", "utterances_per_speaker", "n_samples",
+                     "sample_rate"):
+            require_positive_int(f"corpus.{name}", getattr(self, name))
         if self.n_speakers < 4:
             raise ValueError("n_speakers must be at least 4")
         if self.utterances_per_speaker < 2:
             raise ValueError("utterances_per_speaker must be at least 2")
-        if self.n_samples < 1 or self.sample_rate < 1:
-            raise ValueError("n_samples and sample_rate must be positive")
         # One period of the lowest fundamental (80 Hz) holds a pulse, and
         # the envelope's Hann window is zero at its first sample, so a
         # shorter utterance, or a single sample, can be silent.

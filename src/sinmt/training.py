@@ -5,7 +5,8 @@ cross-entropy and Ld the speaker cross-entropy computed through the
 gradient-reversal layer. The reversal layer only touches gradients, so
 the forward value of the objective never depends on the reversal scale.
 
-The realized extractor update under SGD decomposes as
+`train` steps with Adam; under SGD, which `train_step` also takes, the
+realized extractor update decomposes as
 
     θf ← θf − μ(∂Ls/∂θf − λ·α_eff·∂Ld/∂θf)
 
@@ -32,7 +33,7 @@ from . import autodiff as ad
 from . import evaluation as ev
 from . import synthdata as sd
 from .model import (MODE_BASELINE, MODE_SPEAKER_INVARIANT, SInMTNetwork,
-                    _require_positive_int, load_checkpoint, resolve_grl)
+                    load_checkpoint, resolve_grl)
 
 _STREAM_SHUFFLE = 10
 _STREAM_ITEM = 11
@@ -47,24 +48,21 @@ _STREAM_ITEM = 11
 class TrainConfig:
     mode: str = MODE_BASELINE
     alpha: float = 0.1
-    grl_scale: float | None = None  # None → mode default (0 / −1 / +1)
-    optimizer: str = "adam"
     learning_rate: float = 1e-3
     batch_size: int = 32
     epochs: int = 30
     patience: int = 5
     clip_len: int | None = None  # None → full-length utterances
-    spoof_class_weights: tuple | None = None  # None → inverse frequency
     seed: int = 0
     init_checkpoint: str | None = None
     fold_alpha_into_lambda: bool = False
     augment: bool = True
 
     def resolved_grl(self) -> float:
-        return resolve_grl(self.mode, self.grl_scale)
+        return resolve_grl(self.mode)
 
     def validate(self) -> None:
-        self.resolved_grl()  # checks the mode and its reversal scale
+        self.resolved_grl()  # checks the mode
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError(f"alpha must be finite and >= 0, "
                              f"got {self.alpha}")
@@ -72,23 +70,15 @@ class TrainConfig:
                 self.mode != MODE_SPEAKER_INVARIANT:
             raise ValueError(f"train.fold_alpha_into_lambda applies to "
                              f"mode 'ivspk' only, not {self.mode!r}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer: {self.optimizer!r}")
         if not (math.isfinite(self.learning_rate)
                 and self.learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and positive, "
                              f"got {self.learning_rate}")
         for name in ("batch_size", "epochs", "patience"):
-            _require_positive_int(name, getattr(self, name))
+            sd.require_positive_int(name, getattr(self, name))
         if self.clip_len is not None:
-            _require_positive_int("clip_len", self.clip_len)
+            sd.require_positive_int("clip_len", self.clip_len)
         sd.require_seed("train.seed", self.seed)
-        if self.spoof_class_weights is not None:
-            w = np.asarray(self.spoof_class_weights, dtype=np.float64)
-            if w.shape != (2,) or not np.isfinite(w).all() or \
-                    (w < 0).any() or w.sum() == 0.0:
-                raise ValueError("spoof_class_weights must be two finite "
-                                 "nonnegative values, not all zero")
 
 
 @dataclass
@@ -294,8 +284,9 @@ def _dev_metrics(network, records, manifest, class_of, batch_size):
 
 def train(config: TrainConfig, manifest: sd.CorpusManifest,
           encoder=None, head=None) -> TrainResult:
-    """Seed-deterministic training with per-epoch shuffling, cropping,
-    on-the-fly augmentation, dev-EER model selection, and early
+    """Seed-deterministic Adam training with per-epoch shuffling,
+    cropping, on-the-fly augmentation, inverse-frequency spoof weights,
+    the mode's reversal scale, dev-EER model selection, and early
     stopping. Never touches the eval split. The returned network holds
     the parameters of the epoch with the best dev EER. Each utterance is
     read from disk when its batch is built, every epoch, so memory holds
@@ -330,25 +321,16 @@ def train(config: TrainConfig, manifest: sd.CorpusManifest,
         network = SInMTNetwork(config.mode,
                                n_speakers=len(speaker_classes),
                                encoder=encoder, head=head,
-                               grl_scale=config.resolved_grl(),
                                seed=config.seed)
 
-    if config.spoof_class_weights is not None:
-        spoof_weights = np.asarray(config.spoof_class_weights,
-                                   dtype=np.float64)
-    else:
-        spoof_labels_all = [int(r.label != ev.BONAFIDE)
-                            for r in train_records]
-        spoof_weights = inverse_frequency_weights(spoof_labels_all, 2)
+    spoof_weights = inverse_frequency_weights(
+        [int(r.label != ev.BONAFIDE) for r in train_records], 2)
 
     corpus = manifest.config
     augmenter = sd.Augmenter(corpus.seed, corpus.n_speakers,
                              corpus.n_samples, corpus.sample_rate)
-    if config.optimizer == "adam":
-        opt_state = ad.OptimizerState.adam(network.params,
-                                           lr=config.learning_rate)
-    else:
-        opt_state = ad.OptimizerState.sgd(lr=config.learning_rate)
+    opt_state = ad.OptimizerState.adam(network.params,
+                                       lr=config.learning_rate)
 
     history = []
     best_state = network.params.state()

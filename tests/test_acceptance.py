@@ -138,8 +138,8 @@ def test_criterion_3_update_rule_conformance():
             np.testing.assert_array_equal(stepped.params[name].data,
                                           oracle.params[name].data)
 
-        cfg = tr.TrainConfig(mode=mode, alpha=alpha, optimizer="sgd",
-                             learning_rate=mu, batch_size=6, epochs=1)
+        cfg = tr.TrainConfig(mode=mode, alpha=alpha, learning_rate=mu,
+                             batch_size=6, epochs=1)
         tr.train_step(stepped, batch, cfg, ad.OptimizerState.sgd(lr=mu),
                       spoof_weights=np.ones(2), speaker_weights=np.ones(4))
 
@@ -163,8 +163,8 @@ def test_criterion_3_update_rule_conformance():
     # cooperative mode (lambda = -1) must equal a plain multi-task step
     stepped = _fresh_tiny("spk", seed=99, lam=-1.0)
     plain = _fresh_tiny("spk", seed=99, lam=-1.0)
-    cfg = tr.TrainConfig(mode="spk", alpha=alpha, optimizer="sgd",
-                         learning_rate=mu, batch_size=6, epochs=1)
+    cfg = tr.TrainConfig(mode="spk", alpha=alpha, learning_rate=mu,
+                         batch_size=6, epochs=1)
     tr.train_step(stepped, batch, cfg, ad.OptimizerState.sgd(lr=mu),
                   spoof_weights=np.ones(2), speaker_weights=np.ones(4))
     with ad.Tape() as tape:

@@ -151,12 +151,13 @@ class TestGen:
          "conv_layers[2] stride"),
         ({"corpus": {"split_fractions": ["0.7", "0.1", "0.2"]}},
          "corpus.split_fractions"),
-        ({"train": {"spoof_class_weights": ["1", "2"]}},
-         "train.spoof_class_weights"),
+        ({"train": {"alpha": "0.1"}}, "train.alpha"),
         ({"train": {"init_checkpoint": ["a"]}}, "train.init_checkpoint"),
         ({"train": {"init_checkpoint": 5}}, "train.init_checkpoint"),
+        # λ is the mode's, so a grl_scale of any type is an unknown key
         ({"train": {"mode": "ivspk", "grl_scale": "0.5"}},
          "train.grl_scale"),
+        ({"train": {"patience": 2.5}}, "train.patience"),
     ])
     def test_wrongly_typed_value_is_named(self, tmp_path, capsys, doc,
                                           named):
@@ -170,13 +171,31 @@ class TestGen:
             assert named in capsys.readouterr().err, command
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["grl_scale", "optimizer",
+                                     "spoof_class_weights"])
+    def test_removed_setting_exits_2(self, tmp_path, capsys, key):
+        # λ comes from the mode, the optimizer is Adam and the spoof
+        # weights are inverse-frequency; none of them is a setting
+        value = {"grl_scale": 1.0, "optimizer": "sgd",
+                 "spoof_class_weights": [1, 2]}[key]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"train": {"mode": "ivspk", key: value}}))
+        out = tmp_path / "out"
+        for command in (["gen"], ["train", "--corpus", str(tmp_path)]):
+            code = cli.main(command + ["--config", str(bad),
+                                       "--out", str(out)])
+            assert code == 2, command
+            assert f"unknown key train.{key}" in capsys.readouterr().err, \
+                command
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc", [
         {"corpus": dict(TINY_CORPUS, attacks=[
             {"attack_id": "A04", "kind": "artifact_tone",
              "params": {"freq_hz": float("nan")}}])},
         {"train": {"learning_rate": float("nan")}},
         {"train": {"alpha": float("inf")}},
-        {"train": {"mode": "ivspk", "grl_scale": float("-inf")}},
+        {"corpus": {"n_samples": float("-inf")}},
         {"corpus": {"split_fractions": [float("nan"), 0.5, 0.5]}},
     ])
     def test_non_finite_number_exits_2_before_writing(self, tmp_path,
@@ -318,6 +337,7 @@ class TestTrain:
 
     def test_mode_scale_contradiction_exits_2(self, cli_corpus, tmp_path,
                                               capsys):
+        # spk's λ is −1 and no key can set another
         cfg_path = write_config(
             tmp_path / "train.json",
             train=train_section(mode="spk", grl_scale=1.0))
@@ -326,6 +346,7 @@ class TestTrain:
                          "--out", str(tmp_path / "x")])
         assert code == 2
         assert "grl_scale" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_cold_adversarial_start_warns(self, cli_corpus, tmp_path,
                                           capsys):
@@ -423,9 +444,11 @@ class TestTrain:
             assert resolved.model.encoder.model_dim == 8, stage
 
     def test_divergence_exits_4(self, cli_corpus, tmp_path):
+        # Adam's step is about lr whatever the gradient's scale; at 1e12
+        # this model still trains to exit 0
         cfg_path = write_config(
             tmp_path / "train.json",
-            train=train_section(optimizer="sgd", learning_rate=1e12))
+            train=train_section(learning_rate=1e100))
         code = cli.main(["train", "--config", cfg_path,
                          "--corpus", str(cli_corpus),
                          "--out", str(tmp_path / "x")])
@@ -481,18 +504,38 @@ class TestEval:
         assert str(bad / "manifest.tsv") in err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("batch_size", ["0", "-1"])
-    def test_non_positive_batch_size_is_rejected(self, cli_corpus,
-                                                 trained_run, tmp_path,
-                                                 capsys, batch_size):
+    def test_batch_size_flag_is_refused(self, cli_corpus, trained_run,
+                                        tmp_path, capsys):
+        # eval scores in batches of 32; the batch size is no setting
         code = cli.main(["eval", "--ckpt", str(trained_run / "best.ckpt"),
                          "--corpus", str(cli_corpus),
                          "--out", str(tmp_path / "x"),
-                         "--batch-size", batch_size])
+                         "--batch-size", "8"])
         assert code == 2
-        assert f"batch_size must be at least 1, got {batch_size}" in \
-            capsys.readouterr().err
+        assert "--batch-size" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_report_warnings_go_to_stderr_once(self, trained_run, tmp_path,
+                                               capsys):
+        # four utterances per speaker draw only the first two attacks
+        cfg_path = tmp_path / "gen.json"
+        cfg_path.write_text(json.dumps(
+            {"corpus": dict(TINY_CORPUS, utterances_per_speaker=4)}))
+        corpus = tmp_path / "corpus"
+        assert cli.main(["gen", "--config", str(cfg_path),
+                         "--out", str(corpus)]) == 0
+        out = tmp_path / "eval"
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", str(trained_run / "best.ckpt"),
+                         "--corpus", str(corpus), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        report = (out / "report.txt").read_text()
+        for attack in ("A03", "A04"):
+            message = f"attack {attack} has zero trials; omitted"
+            assert captured.err.count(message) == 1, attack
+            assert f"warning\t{message}" in report, attack
+        assert "pooled EER" in captured.out
+        assert "warning" not in captured.out
 
     @pytest.mark.parametrize("command", ["eval", "export"])
     def test_out_under_a_file_is_rejected_before_scoring(
@@ -559,6 +602,26 @@ class TestEval:
                          "--out", str(tmp_path / "x")])
         assert code == 2
         assert "n_speakers must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [1.5, "x"])
+    def test_wrongly_typed_checkpoint_seed_exits_2(self, cli_corpus,
+                                                   trained_run, tmp_path,
+                                                   capsys, seed):
+        net = md.load_checkpoint(trained_run / "best.ckpt")
+        net.seed = seed
+        ckpt = tmp_path / "seed.ckpt"
+        md.save_checkpoint(net, ckpt)
+        out = tmp_path / "x"
+        corpus = ["--corpus", str(cli_corpus)]
+        for command in (["probe", "--ckpt", str(ckpt)],
+                        ["eval", "--ckpt", str(ckpt), "--out", str(out)],
+                        ["export", "--ckpt", str(ckpt), "--out", str(out)],
+                        ["train", "--init", str(ckpt), "--out", str(out)]):
+            code = cli.main(command + corpus)
+            assert code == 2, command
+            assert "seed must be a non-negative integer" in \
+                capsys.readouterr().err, command
+        assert not out.exists()
 
     def test_unknown_attack_key_in_corpus_exits_2(self, cli_corpus,
                                                   trained_run, tmp_path,

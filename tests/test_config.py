@@ -23,7 +23,7 @@ NON_DEFAULT = {
     "model": {"encoder": {"conv_layers": [[16, 8, 4], [24, 4, 2]],
                           "model_dim": 24, "n_attention_heads": 3}},
     "train": {"mode": "ivspk", "alpha": 0.3, "fold_alpha_into_lambda": True,
-              "spoof_class_weights": [1, 2]},
+              "clip_len": 2000},
 }
 
 
@@ -42,7 +42,7 @@ def test_non_default_config_round_trips(tmp_path):
         "X2", "artifact_tone", {"freq_hz": 900.0, "level_db": -20})
     assert cfg.corpus.split_fractions == (0.6, 0.2, 0.2)
     assert cfg.model.encoder.conv_layers == [(16, 8, 4), (24, 4, 2)]
-    assert cfg.train.spoof_class_weights == (1.0, 2.0)
+    assert cfg.train.clip_len == 2000
     assert cfg.train.fold_alpha_into_lambda is True
 
     first = tmp_path / "first.resolved"

@@ -155,6 +155,7 @@ class TestBreakdownReport:
         report = ev.breakdown_report(s, expected_attacks=["A01", "A05"])
         assert any("A05" in w for w in report.warnings)
         assert "A05" not in report.per_attack
+        assert "A05" not in ev.render_report(report)
 
     def test_render_and_write(self, tmp_path):
         s = make_set([1.0, 2.0], [0.0, -1.0])
@@ -398,6 +399,14 @@ class TestScoringNetworks:
         manifest, net = tiny_setup
         with pytest.raises(ValueError, match="split"):
             ev.score_split(net, manifest, "nosuch")
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_non_positive_batch_size_is_rejected(self, tiny_setup,
+                                                 batch_size):
+        manifest, net = tiny_setup
+        with pytest.raises(ValueError, match=f"batch_size must be at least "
+                                             f"1, got {batch_size}"):
+            ev.score_split(net, manifest, "train", batch_size=batch_size)
 
 
 class TestEmbeddingExport:

@@ -176,6 +176,12 @@ class TestNetworkContract:
         assert tiny_net("spk").grl_scale == -1.0
         assert tiny_net("ivspk").grl_scale == 1.0
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_reversal_scale_is_refused(self, value):
+        with pytest.raises(ValueError, match="grl_scale must be finite"):
+            tiny_net("ivspk", grl_scale=value)
+
     def test_heads_are_disjoint_and_isomorphic(self):
         net = tiny_net("spk", n_speakers=4)
         spoof = set(net.params.group_names("spoof_head"))

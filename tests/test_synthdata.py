@@ -446,6 +446,19 @@ class TestCorpusGeneration:
         with pytest.raises(ValueError, match="'freq_hz' must be finite"):
             cfg.validate()
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_samples", 4000.5), ("utterances_per_speaker", 2.5),
+        ("n_speakers", 5.5), ("sample_rate", 4000.0), ("n_speakers", True)])
+    def test_non_integer_count_is_refused_before_writing(self, tmp_path,
+                                                         field, value):
+        cfg = sd.CorpusConfig(**{field: value})
+        with pytest.raises(ValueError,
+                           match=f"corpus.{field} must be an integer"):
+            cfg.validate()
+        with pytest.raises(ValueError, match=f"corpus.{field}"):
+            sd.generate_corpus(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_eval_speaker_ids_are_last_fifth(self):
         cfg = sd.CorpusConfig()
         assert cfg.eval_speaker_ids() == {17, 18, 19, 20}

@@ -223,8 +223,7 @@ class TestTrainStep:
             before = {k: v.copy() for k, v in net.params.state().items()}
             g_s, g_d = two_backward_gradients(net, batch, alpha)
 
-            cfg = tr.TrainConfig(mode=mode, alpha=alpha, optimizer="sgd",
-                                 learning_rate=mu)
+            cfg = tr.TrainConfig(mode=mode, alpha=alpha, learning_rate=mu)
             opt = ad.OptimizerState.sgd(lr=mu)
             tr.train_step(net, batch, cfg, opt, np.ones(2),
                           np.ones(net.n_speakers))
@@ -248,8 +247,8 @@ class TestTrainStep:
         net = tiny_network("ivspk")
         before = {k: v.copy() for k, v in net.params.state().items()}
         g_s, g_d = two_backward_gradients(net, batch, alpha)
-        cfg = tr.TrainConfig(mode="ivspk", alpha=alpha, optimizer="sgd",
-                             learning_rate=mu, fold_alpha_into_lambda=True)
+        cfg = tr.TrainConfig(mode="ivspk", alpha=alpha, learning_rate=mu,
+                             fold_alpha_into_lambda=True)
         opt = ad.OptimizerState.sgd(lr=mu)
         tr.train_step(net, batch, cfg, opt, np.ones(2),
                       np.ones(net.n_speakers))
@@ -273,8 +272,7 @@ class TestTrainStep:
         batch = tiny_batch()
         net_a = tiny_network("spk")
         net_b = tiny_network("spk")
-        cfg = tr.TrainConfig(mode="spk", alpha=alpha, optimizer="sgd",
-                             learning_rate=mu)
+        cfg = tr.TrainConfig(mode="spk", alpha=alpha, learning_rate=mu)
         opt = ad.OptimizerState.sgd(lr=mu)
         tr.train_step(net_a, batch, cfg, opt, np.ones(2),
                       np.ones(net_a.n_speakers))
@@ -298,10 +296,8 @@ class TestTrainStep:
         mu = 0.05
         net_a = tiny_network("ivspk")
         net_b = tiny_network("ivspk")
-        cfg_a = tr.TrainConfig(mode="ivspk", alpha=0.1, optimizer="sgd",
-                               learning_rate=mu)
-        cfg_b = tr.TrainConfig(mode="ivspk", alpha=0.0, optimizer="sgd",
-                               learning_rate=mu)
+        cfg_a = tr.TrainConfig(mode="ivspk", alpha=0.1, learning_rate=mu)
+        cfg_b = tr.TrainConfig(mode="ivspk", alpha=0.0, learning_rate=mu)
         opt = ad.OptimizerState.sgd(lr=mu)
         tr.train_step(net_a, batch, cfg_a, opt, np.ones(2), np.ones(4))
         tr.train_step(net_b, batch, cfg_b, opt, np.ones(2), np.ones(4))
@@ -450,35 +446,35 @@ class TestTrainConfig:
         assert tr.TrainConfig(mode="ivspk").resolved_grl() == 1.0
 
     def test_cooperative_mode_pins_scale(self):
-        cfg = tr.TrainConfig(mode="spk", grl_scale=1.0)
-        with pytest.raises(ValueError, match="requires grl_scale == -1"):
-            cfg.validate()
+        # spk's λ is −1 whatever α is, and α cannot be folded into it
+        for alpha in (0.0, 0.1, 10.0):
+            cfg = tr.TrainConfig(mode="spk", alpha=alpha)
+            assert cfg.resolved_grl() == -1.0
+        with pytest.raises(ValueError, match="'ivspk' only"):
+            tr.TrainConfig(mode="spk", fold_alpha_into_lambda=True).validate()
 
     def test_adversarial_mode_needs_positive_scale(self):
-        cfg = tr.TrainConfig(mode="ivspk", grl_scale=-0.5)
-        with pytest.raises(ValueError, match="> 0"):
+        # ivspk's λ is positive whatever α is; α sets the strength alone
+        for alpha in (0.0, 0.1, 10.0):
+            cfg = tr.TrainConfig(mode="ivspk", alpha=alpha)
             cfg.validate()
+            assert cfg.resolved_grl() > 0.0
 
     def test_basic_field_validation(self):
         for bad in (tr.TrainConfig(alpha=-0.1),
                     tr.TrainConfig(batch_size=0),
-                    tr.TrainConfig(optimizer="rmsprop"),
                     tr.TrainConfig(learning_rate=0.0),
                     tr.TrainConfig(epochs=0),
                     tr.TrainConfig(patience=0),
                     tr.TrainConfig(clip_len=0),
-                    tr.TrainConfig(mode="dual"),
-                    tr.TrainConfig(spoof_class_weights=(0.0, 0.0))):
+                    tr.TrainConfig(mode="dual")):
             with pytest.raises(ValueError):
                 bad.validate()
 
-    @pytest.mark.parametrize("field", ["alpha", "learning_rate",
-                                       "grl_scale", "spoof_class_weights"])
+    @pytest.mark.parametrize("field", ["alpha", "learning_rate"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])
     def test_non_finite_value_is_refused(self, field, value):
-        if field == "spoof_class_weights":
-            value = (1.0, value)
         cfg = tr.TrainConfig(mode="ivspk", **{field: value})
         with pytest.raises(ValueError, match="finite"):
             cfg.validate()
@@ -496,7 +492,7 @@ class TestTrainConfig:
     def test_default_config_is_valid(self):
         tr.TrainConfig().validate()
         tr.TrainConfig(mode="spk").validate()
-        tr.TrainConfig(mode="ivspk", grl_scale=0.5).validate()
+        tr.TrainConfig(mode="ivspk").validate()
 
 
 class TestInverseFrequencyWeights:
